@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test vet lint race fuzz bench check
+.PHONY: build test vet lint race fuzz bench benchmark check
 
 build:
 	$(GO) build ./...
@@ -18,13 +18,25 @@ lint:
 	$(GO) run ./cmd/cvclint -summary ./...
 	$(GO) run ./cmd/cvclint -budget
 
+# race runs the race detector over the one package list scripts/check.sh
+# also uses (scripts/race.sh).
 race:
-	$(GO) test -race ./internal/core ./internal/transport ./internal/server ./internal/obs ./internal/sim .
+	bash scripts/race.sh
 
 # bench refreshes BENCH_notifier.json, the committed hot-path trajectory
 # point; see scripts/bench.sh.
 bench:
 	bash scripts/bench.sh
+
+# benchmark runs the repository's benchmark (BENCHMARK.json, bench/README.md):
+# four closed-loop workloads against the default server layout, every
+# end-to-end and per-layer metric, results in bench/out/results.json (~2 min).
+# One workload the way the driver runs it:
+#   bash bench/run.sh --workload fanout --seed 7 --seconds 20 --trace 0
+# Two result files side by side:
+#   go run ./bench -compare old/results.json bench/out/results.json
+benchmark:
+	$(GO) run ./bench
 
 fuzz:
 	$(GO) test ./internal/op -run='^$$' -fuzz='^FuzzTransform$$' -fuzztime=$(FUZZTIME)

@@ -33,17 +33,54 @@ func TestChaosDisconnectsAndRejoins(t *testing.T) {
 // dedicated-goroutine layout under disconnects and races.
 func TestChaosLeanNotifier(t *testing.T) {
 	ln := transport.NewMemListener()
-	nt, err := ServeLean(ln, "chaos base document", LeanOptions{WriterPool: -1, EventDispatch: -1})
+	sess, svc := serveLeanChaos(t, ln, -1)
+	runChaosChurn(t, ln.Dial, sess)
+	waitDispatcherEmpty(t, svc)
+}
+
+// serveLeanChaos serves the chaos document on the goroutine-lean layout —
+// `workers` pooled writers and dispatch workers (-1 = GOMAXPROCS) — and
+// returns the default session the plain-join editors land in.
+func serveLeanChaos(t *testing.T, ln transport.Listener, workers int) (*server.Session, *server.Service) {
+	t.Helper()
+	mgr := server.NewManager(server.WithInitialText("chaos base document"))
+	sess, err := mgr.GetOrCreate("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nt.Close()
-	runChaosChurn(t, ln.Dial, nt)
+	svc := server.Serve(ln, mgr, server.WithWriterPool(workers), server.WithEventDispatch(workers))
+	t.Cleanup(func() {
+		svc.Close()
+		mgr.Close()
+	})
+	return sess, svc
+}
+
+// waitDispatcherEmpty asserts exactly-once retire after the churn hung every
+// editor up: the dispatcher must drain to zero registered connections — a
+// leaked dispatchConn or a double-retire would leave the count wrong forever.
+func waitDispatcherEmpty(t *testing.T, svc *server.Service) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for svc.Dispatched() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("dispatcher leaked %d connections after churn", svc.Dispatched())
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// chaosNotifier is what the churn needs of site 0: exact message counts for
+// quiescence and the authoritative text. *Notifier and the *server.Session
+// behind any Service both provide it.
+type chaosNotifier interface {
+	Counts() (received, sent map[int]uint64)
+	Text() string
 }
 
 // runChaosChurn drives editor churn over any transport: dialConn is how a
 // new editor reaches the notifier (mem pipe or real TCP).
-func runChaosChurn(t *testing.T, dialConn func() (transport.Conn, error), nt *Notifier) {
+func runChaosChurn(t *testing.T, dialConn func() (transport.Conn, error), nt chaosNotifier) {
 	dial := func() *Editor {
 		t.Helper()
 		conn, err := dialConn()
@@ -155,18 +192,17 @@ func runChaosChurn(t *testing.T, dialConn func() (transport.Conn, error), nt *No
 // readiness poller, with 4 KiB socket buffers and a 7-byte read chunk so
 // nearly every frame arrives split and the partial-frame reassembly path is
 // exercised under kill/replace races. After the churn it asserts exactly-once
-// retire: the dispatcher must drain to zero registered connections — a leaked
-// dispatchConn or a double-retire would leave the count wrong forever.
+// retire (waitDispatcherEmpty).
 func TestChaosPollerTCP(t *testing.T) {
 	chaosPollerTCP(t, 0) // package defaults: single-instance layout on 1-CPU boxes
 }
 
 // TestChaosPollerTCPSharded reruns the poller churn with the sharded
 // scheduling layout forced on (DESIGN.md §18): 4 epoll shards, 4 writers and
-// dispatch workers over 4-way ready rings, and the parallel broadcast fan-out
-// engaged for every multi-destination broadcast (threshold 1). Kill/replace
-// races must survive work stealing and chunked fan-out with the same
-// exactly-once retire guarantee.
+// dispatch workers over 4-way ready rings, and enough idle replicas attached
+// that every broadcast reaches transport.DefaultFanoutThreshold destinations
+// and fans out in parallel. Kill/replace races must survive work stealing and
+// chunked fan-out with the same exactly-once retire guarantee.
 func TestChaosPollerTCPSharded(t *testing.T) {
 	chaosPollerTCP(t, 4)
 }
@@ -185,29 +221,49 @@ func chaosPollerTCP(t *testing.T, shards int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lean := LeanOptions{WriterPool: -1, EventDispatch: -1}
+	workers := -1
 	if shards > 0 {
-		lean = LeanOptions{WriterPool: shards, EventDispatch: shards,
-			DispatchShards: shards, FanoutThreshold: 1}
+		workers = shards // one ready-ring shard per worker
 	}
-	nt, err := ServeLean(ln, "chaos base document", lean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nt.Close()
+	sess, svc := serveLeanChaos(t, ln, workers)
 	if shards > 0 && p.Shards() != shards {
 		t.Fatalf("poller built %d shards, want %d", p.Shards(), shards)
 	}
 	addr := ln.Addr()
-	runChaosChurn(t, func() (transport.Conn, error) { return transport.DialTCP(addr) }, nt)
-
-	deadline := time.Now().Add(5 * time.Second)
-	for nt.disp.Len() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("dispatcher leaked %d connections after churn", nt.disp.Len())
+	dial := func() (transport.Conn, error) { return transport.DialTCP(addr) }
+	var idle []*Editor
+	if shards > 0 {
+		for i := 0; i < transport.DefaultFanoutThreshold; i++ {
+			conn, err := dial()
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := Connect(conn, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			idle = append(idle, e)
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
+	fanouts := transport.FanoutParallel()
+	runChaosChurn(t, dial, sess)
+	if shards > 0 && transport.FanoutParallel() == fanouts {
+		t.Fatal("no broadcast took the parallel fan-out path")
+	}
+	// The idle replicas saw every edit only through the parallel fan-out.
+	want := sess.Text()
+	deadline := time.Now().Add(15 * time.Second)
+	for i, e := range idle {
+		for e.Text() != want {
+			if err := e.Err(); err != nil || time.Now().After(deadline) {
+				t.Fatalf("idle replica %d did not converge (err=%v)", i, err)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		_ = e.Close()
+	}
+	waitDispatcherEmpty(t, svc)
 }
 
 // TestSlowConsumerDoesNotBlockOthers: one editor stops reading (its engine

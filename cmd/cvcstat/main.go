@@ -86,20 +86,12 @@ func fetch(url string) (obs.Snapshot, error) {
 func render(w io.Writer, s obs.Snapshot) {
 	fmt.Fprintf(w, "%s @ %s\n\n", s.Name, time.Now().Format(time.TimeOnly))
 
-	// Per-session table. Single-session servers mount their metrics on the
-	// root registry; treat that as one anonymous session row.
-	sessions := s.Children
-	if len(sessions) == 0 && (len(s.Gauges) > 0 || len(s.Hists) > 0) {
-		sessions = []obs.Snapshot{s}
-	}
+	// Per-session table: one registry child per session; a single-document
+	// server's only row is the default session's child, "(default)".
 	var t stats.Table
 	t.Header("session", "res", "sites", "ops", "doc", "hb", "clock_words", "checks", "transforms", "tf/op", "cache hit%", "recv p50", "recv p99")
-	for _, c := range sessions {
-		name := c.Name
-		if name == "" || c.Name == s.Name {
-			name = "(default)"
-		}
-		t.Row(name, residentStr(c.Gauges),
+	for _, c := range s.Children {
+		t.Row(c.Name, residentStr(c.Gauges),
 			gaugeCell(c.Gauges, obs.GSites), gaugeCell(c.Gauges, obs.GOpsRecv), gaugeCell(c.Gauges, obs.GDocRunes),
 			gaugeCell(c.Gauges, obs.GHBLen), gaugeCell(c.Gauges, obs.GClockWords),
 			gaugeCell(c.Counters, "checks.total"), gaugeCell(c.Counters, "ot.transforms"),

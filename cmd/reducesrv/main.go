@@ -4,7 +4,9 @@
 //
 //	reducesrv -listen :7467 -text "initial document"
 //
-// Editors connect with cmd/reducecli (or any client of the wire protocol).
+// Editors connect with cmd/reducecli (or any client of the wire protocol). A
+// plain join edits the default document; a client that names a session gets
+// that document, an independent notifier engine in the same process.
 // With -debug the process also serves a live introspection endpoint
 // (/metricz, /tracez, pprof, expvar; poll it with cmd/cvcstat):
 //
@@ -20,33 +22,26 @@ import (
 	"os/signal"
 	"time"
 
-	"repro"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
 	"repro/internal/server"
-	"repro/internal/trace"
 	"repro/internal/transport"
-	"repro/internal/transport/netpoll"
 )
 
 func main() {
 	log.SetFlags(0)
 	listen := flag.String("listen", "127.0.0.1:7467", "address to listen on")
-	text := flag.String("text", "", "initial document text")
+	text := flag.String("text", "", "initial document text (of every new session)")
 	file := flag.String("file", "", "load the initial document from a file (overrides -text)")
 	relay := flag.Bool("unsafe-relay", false, "ablation: relay ORIGINAL operations (breaks consistency; for experiments)")
 	status := flag.Duration("status", 10*time.Second, "status print interval (0 disables)")
-	journalPath := flag.String("journal", "", "persist the session to this journal file (recovers from it on restart)")
-	multi := flag.Bool("multi", false, "serve many independent documents (clients pick one by session name; see internal/server)")
+	journalPath := flag.String("journal", "", "persist sessions to journal files and recover from them on restart: the default document to this path, a named session to <path>.<name>")
 	debug := flag.String("debug", "", "serve /metricz, /tracez, pprof and expvar on this address (empty disables)")
 	traceOn := flag.Bool("trace", false, "start with causality-decision tracing enabled (needs -debug; toggle later via POST /tracez?enable=)")
-	writerPool := flag.Int("writer-pool", 0, "drain outbound queues with this many shared writer goroutines (-1 = GOMAXPROCS, 0 = one dedicated writer per connection)")
-	idleDehydrate := flag.Duration("idle-dehydrate", 0, "with -multi: park sessions idle for this long into compact checkpoints (0 disables)")
+	writerPool := flag.Int("writer-pool", 0, "drain outbound queues and dispatch event-capable reads with this many shared goroutines each (-1 = GOMAXPROCS, 0 = dedicated goroutines per connection)")
+	idleDehydrate := flag.Duration("idle-dehydrate", 0, "park sessions idle for this long into compact checkpoints (0 disables)")
 	poller := flag.String("poller", "auto", "TCP readiness poller: auto (use it when the platform has one), on (require it), off (dedicated readers)")
-	pollerShards := flag.Int("poller-shards", 0, "split the readiness poller into this many epoll instances (0 = platform default, min(GOMAXPROCS, 4); needs a poller-capable platform)")
-	dispatchShards := flag.Int("dispatch-shards", 0, "split the writer-pool and dispatcher ready rings into this many work-stealing shards (0 = one per worker; needs -writer-pool)")
-	fanoutThreshold := flag.Int("fanout-threshold", 0, "broadcasts to at least this many destinations fan out in parallel across pool shards (0 = default 16, negative = always serial; needs -writer-pool)")
 	spanSample := flag.Int("span-sample", 0, "trace every Nth operation's lifecycle (stage latencies at /spanz; 0 disables; needs -debug)")
 	sloP99 := flag.Duration("slo-p99", 0, "SLO flight recorder: dump a diagnostic bundle when the windowed p99 of receive.ns or span.total.ns exceeds this (0 disables; needs -debug)")
 	sloDir := flag.String("slo-dir", "slo-bundles", "directory receiving flight-recorder bundles")
@@ -72,24 +67,8 @@ func main() {
 		if *poller == "on" && !transport.PollerCapable() {
 			log.Fatalf("reducesrv: -poller=on but this platform has no readiness poller")
 		}
-		if *pollerShards > 0 {
-			// An explicit shard count needs its own poller: the process-wide
-			// default is built lazily with the platform default shard count.
-			if !transport.PollerCapable() {
-				log.Fatalf("reducesrv: -poller-shards needs a poller-capable platform")
-			}
-			var pl *netpoll.Poller
-			if pl, err = netpoll.NewPoller(netpoll.WithPollerShards(*pollerShards)); err != nil {
-				log.Fatalf("reducesrv: -poller-shards: %v", err)
-			}
-			ln, err = netpoll.ListenTCP(*listen, netpoll.WithPoller(pl))
-		} else {
-			ln, err = transport.ListenEventTCP(*listen)
-		}
+		ln, err = transport.ListenEventTCP(*listen)
 	case "off":
-		if *pollerShards > 0 {
-			log.Fatalf("reducesrv: -poller-shards conflicts with -poller=off")
-		}
 		ln, err = transport.ListenTCP(*listen)
 	default:
 		log.Fatalf("reducesrv: -poller=%q (want auto, on, or off)", *poller)
@@ -100,9 +79,9 @@ func main() {
 	if transport.PollerCapable() && *poller != "off" {
 		log.Printf("reducesrv: TCP readiness poller active (reads are epoll-driven)")
 	}
-	var opts []core.ServerOption
+	mopts := []server.ManagerOption{server.WithInitialText(initial)}
 	if *relay {
-		opts = append(opts, core.WithServerMode(core.ModeRelay))
+		mopts = append(mopts, server.WithEngineOptions(core.WithServerMode(core.ModeRelay)))
 		log.Printf("WARNING: relay mode — operations are not transformed; divergence expected")
 	}
 
@@ -114,6 +93,7 @@ func main() {
 		reg = obs.NewRegistry("reducesrv")
 		ring = obs.NewDecisionRing(obs.DefaultRingCapacity)
 		ring.SetEnabled(*traceOn)
+		mopts = append(mopts, server.WithObservability(reg), server.WithDecisionRing(ring))
 	} else if *traceOn {
 		log.Fatalf("reducesrv: -trace needs -debug")
 	}
@@ -131,63 +111,44 @@ func main() {
 			FinishOnWrite: true,
 		})
 		spans.SetEnabled(true)
+		mopts = append(mopts, server.WithSpanTracer(spans))
 		log.Printf("reducesrv: tracing 1/%d op lifecycles (/spanz)", *spanSample)
 	}
 	if *sloP99 > 0 && reg == nil {
 		log.Fatalf("reducesrv: -slo-p99 needs -debug")
 	}
-
-	if *writerPool == 0 && (*dispatchShards != 0 || *fanoutThreshold != 0) {
-		log.Fatalf("reducesrv: -dispatch-shards and -fanout-threshold need -writer-pool (the sharded rings live in the lean connection layer)")
-	}
-
-	if *multi {
-		if *journalPath != "" {
-			log.Fatalf("reducesrv: -journal is not supported with -multi (per-session journals are not implemented)")
-		}
-		runMulti(ln, initial, *status, *debug, reg, ring, spans, *sloP99, *sloDir, opts, *writerPool, *dispatchShards, *fanoutThreshold, *idleDehydrate)
-		return
-	}
 	if *idleDehydrate > 0 {
-		log.Fatalf("reducesrv: -idle-dehydrate needs -multi (the single-session notifier stays resident)")
+		mopts = append(mopts, server.WithIdleDehydrate(*idleDehydrate))
+		log.Printf("reducesrv: sessions idle for %v dehydrate to checkpoints", *idleDehydrate)
+	}
+	if *journalPath != "" {
+		mopts = append(mopts, server.WithJournal(server.JournalFiles(*journalPath)))
+		log.Printf("reducesrv: journaling to %s", *journalPath)
 	}
 
+	// One server whatever the flags: every session name maps to an
+	// independent notifier engine on its own goroutine (internal/server), and
+	// a plain single-document join lands in the default session "".
+	mgr := server.NewManager(mopts...)
+	if *journalPath != "" {
+		// Recover the default document now, so a journal that cannot be
+		// replayed stops the daemon instead of refusing every editor later.
+		if _, err := mgr.GetOrCreate(""); err != nil {
+			log.Fatalf("reducesrv: %v", err)
+		}
+	}
+	var sopts []server.ServeOption
+	if *writerPool != 0 {
+		// The lean connection layer: pooled writers and, on event-capable
+		// transports (the poller's connections), dispatched readers.
+		sopts = append(sopts, server.WithWriterPool(*writerPool), server.WithEventDispatch(*writerPool))
+	}
+	svc := server.Serve(ln, mgr, sopts...)
+	log.Printf("reducesrv: notifier listening on %s (%d bytes of initial text per new session)",
+		svc.Addr(), len(initial))
 	if reg != nil {
-		opts = append(opts, core.WithServerMetrics(trace.MetricsOn(reg)), core.WithServerDecisionRing(ring, ""))
-	}
-	if spans != nil {
-		opts = append(opts, core.WithServerSpans(spans))
-	}
-	var nt *repro.Notifier
-	switch {
-	case *journalPath != "":
-		if *writerPool != 0 {
-			log.Fatalf("reducesrv: -writer-pool is not supported with -journal yet")
-		}
-		nt, err = repro.ServeWithJournal(ln, initial, *journalPath, opts...)
-		if err == nil {
-			log.Printf("reducesrv: journaling to %s", *journalPath)
-		}
-	case *writerPool != 0:
-		// The lean connection layer: pooled writers (and, on event-capable
-		// transports, dispatched readers — TCP keeps dedicated readers).
-		nt, err = repro.ServeLean(ln, initial,
-			repro.LeanOptions{WriterPool: *writerPool, EventDispatch: *writerPool,
-				DispatchShards: *dispatchShards, FanoutThreshold: *fanoutThreshold}, opts...)
-	default:
-		nt, err = repro.Serve(ln, initial, opts...)
-	}
-	if err != nil {
-		log.Fatalf("reducesrv: %v", err)
-	}
-	log.Printf("reducesrv: notifier listening on %s (%d bytes of initial text)", nt.Addr(), len(initial))
-	if reg != nil {
-		nt.Observe(reg)
-		if spans != nil {
-			nt.TraceSpans(spans)
-		}
 		ready := func() (bool, string) {
-			return true, fmt.Sprintf("sites=%d", len(nt.Sites()))
+			return true, fmt.Sprintf("sessions=%d", mgr.Len())
 		}
 		serveDebug(*debug, reg, ring, spans, ready)
 		startFlightRecorder(reg, ring, spans, *sloP99, *sloDir)
@@ -196,57 +157,6 @@ func main() {
 	if *status > 0 {
 		go func() {
 			for range time.Tick(*status) {
-				log.Printf("status: %s", nt)
-			}
-		}()
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	<-sig
-	fmt.Println()
-	log.Printf("reducesrv: shutting down; final document:\n%s", nt.Text())
-	_ = nt.Close()
-}
-
-// runMulti serves many documents concurrently: each session name maps to an
-// independent notifier engine on its own goroutine (internal/server), so
-// unrelated documents scale across cores instead of sharing one lock.
-func runMulti(ln transport.Listener, initial string, status time.Duration, debug string, reg *obs.Registry, ring *obs.DecisionRing, spans *span.Tracer, sloP99 time.Duration, sloDir string, opts []core.ServerOption, writerPool, dispatchShards, fanoutThreshold int, idleDehydrate time.Duration) {
-	mopts := []server.ManagerOption{
-		server.WithInitialText(initial),
-		server.WithEngineOptions(opts...),
-	}
-	if reg != nil {
-		mopts = append(mopts, server.WithObservability(reg), server.WithDecisionRing(ring))
-	}
-	if spans != nil {
-		mopts = append(mopts, server.WithSpanTracer(spans))
-	}
-	if idleDehydrate > 0 {
-		mopts = append(mopts, server.WithIdleDehydrate(idleDehydrate))
-		log.Printf("reducesrv: sessions idle for %v dehydrate to checkpoints", idleDehydrate)
-	}
-	mgr := server.NewManager(mopts...)
-	var sopts []server.ServeOption
-	if writerPool != 0 {
-		sopts = append(sopts, server.WithWriterPool(writerPool), server.WithEventDispatch(writerPool),
-			server.WithDispatchShards(dispatchShards), server.WithFanoutThreshold(fanoutThreshold))
-	}
-	svc := server.Serve(ln, mgr, sopts...)
-	log.Printf("reducesrv: multi-session notifier listening on %s (%d bytes of initial text per new session)",
-		svc.Addr(), len(initial))
-	if reg != nil {
-		ready := func() (bool, string) {
-			return true, fmt.Sprintf("sessions=%d", mgr.Len())
-		}
-		serveDebug(debug, reg, ring, spans, ready)
-		startFlightRecorder(reg, ring, spans, sloP99, sloDir)
-	}
-
-	if status > 0 {
-		go func() {
-			for range time.Tick(status) {
 				log.Printf("status: %s", svc)
 			}
 		}()
@@ -259,8 +169,13 @@ func runMulti(ln transport.Listener, initial string, status time.Duration, debug
 	for _, st := range mgr.Stats() {
 		log.Printf("reducesrv: session %q: %d sites, %d ops, %d runes", st.Name, st.Sites, st.Ops, st.Doc)
 	}
+	if sess, ok := mgr.Get(""); ok {
+		log.Printf("reducesrv: shutting down; final document:\n%s", sess.Text())
+	}
 	_ = svc.Close()
-	_ = mgr.Close()
+	if err := mgr.Close(); err != nil {
+		log.Printf("reducesrv: %v", err)
+	}
 }
 
 // serveDebug mounts the introspection endpoint in the background. Debug HTTP

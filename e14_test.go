@@ -88,9 +88,10 @@ func startE14(tb testing.TB, sites int) *e14Session {
 		workers = s.shards
 	}
 	s.mgr = server.NewManager(server.WithSpanTracer(s.tr))
+	// One ready-ring shard per worker is the rings' default, so the worker
+	// count is also the shard count.
 	s.svc = server.Serve(s.ln, s.mgr,
-		server.WithWriterPool(workers), server.WithEventDispatch(workers),
-		server.WithDispatchShards(s.shards))
+		server.WithWriterPool(workers), server.WithEventDispatch(workers))
 
 	s.eds = make([]*Editor, sites)
 	for i := range s.eds {

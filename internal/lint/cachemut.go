@@ -9,8 +9,8 @@ import "go/ast"
 // state over the bridge/pending lists: every mutation must preserve the
 // invariant that comp composes exactly the live suffix and unfolded records
 // exactly the owed rebases. The engines guarantee this by confining
-// mutation to their own methods, which callers serialize under the engine
-// lock (repro.Notifier.mu) or an actor loop (internal/server). A write from
+// mutation to their own methods, which callers serialize on an actor loop
+// (internal/server's Session) or under their own lock. A write from
 // anywhere else — a free function, another type's method, or a function
 // literal (which may execute on another goroutine, outside the engine's
 // serialization) — bypasses that discipline and either races or desyncs the

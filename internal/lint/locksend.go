@@ -13,8 +13,8 @@ import (
 // notifier's fan-out path this is the classic distributed-deadlock recipe:
 // a slow peer exerts backpressure, the send blocks while the engine lock is
 // held, and every other site's operations stall behind it — which is
-// exactly why sender.go drains an unbounded queue instead of sending under
-// repro.Notifier.mu.
+// exactly why sender.go drains an unbounded queue instead of sending from
+// the session actor.
 //
 // The analysis is per-function and statement-ordered: Lock()/RLock() opens
 // a held region closed by the matching Unlock()/RUnlock(); a deferred
@@ -27,7 +27,7 @@ import (
 // Histogram.Record, DecisionRing.Enabled — safe anywhere) and lock-taking
 // registry/ring maintenance (Registry.Counter, .Snapshot, DecisionRing.Dump,
 // …). Only the lock-free half may run under an engine mutex; resolve
-// registry objects up front (as Notifier.Observe does) and call them inside.
+// registry objects up front (as server.newSession does) and call them inside.
 var LockSend = &Analyzer{
 	Name: "locksend",
 	Doc:  "mutex held across a channel send, blocking transport call, or lock-taking obs call",

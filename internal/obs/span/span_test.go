@@ -179,6 +179,59 @@ func TestTracerFinishOnWrite(t *testing.T) {
 	}
 }
 
+// TestFinishWaitsForOpenServerLeg pins the multi-core ordering: the session
+// actor stamps bcast_enqueue after the senders have the broadcast, so a
+// destination's finishing stamp can come first. The finish must then hold
+// the record for the actor's closing stamp — which completes it — instead of
+// retiring it and letting that stamp vanish.
+func TestFinishWaitsForOpenServerLeg(t *testing.T) {
+	for _, mode := range []struct {
+		name   string
+		cfg    Config
+		finish func(*Tracer, Context)
+		stage  Stage
+	}{
+		{"remote integrate", Config{SampleEvery: 1}, func(tr *Tracer, c Context) { tr.FinishAt(c, StageRemoteIntegrate) }, StageRemoteIntegrate},
+		{"finish on write", Config{SampleEvery: 1, FinishOnWrite: true}, func(tr *Tracer, c Context) { tr.StampWrite(c) }, StageWrite},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			reg := obs.NewRegistry("test")
+			tr := NewTracer(reg, mode.cfg)
+			ctx := tr.Arrival(Context{}, 3, 9, 0)
+			tr.Stamp(ctx, StageDequeue)
+			tr.Stamp(ctx, StageExecute)
+			mode.finish(tr, ctx) // a destination got there before the actor
+			if tr.Completed() != 0 || tr.InFlight() != 1 {
+				t.Fatalf("finish retired a span whose server leg is open: completed %d, in flight %d",
+					tr.Completed(), tr.InFlight())
+			}
+			tr.Stamp(ctx, StageBcastEnqueue)
+			if tr.Completed() != 1 || tr.InFlight() != 0 {
+				t.Fatalf("closing stamp did not complete the span: completed %d, in flight %d",
+					tr.Completed(), tr.InFlight())
+			}
+			sp := tr.Spans(1)[0]
+			if !sp.Complete || sp.Stamps[StageBcastEnqueue] == 0 || sp.Stamps[mode.stage] == 0 {
+				t.Fatalf("span = %+v, want complete with both stamps", sp)
+			}
+			snap := reg.Snapshot()
+			if snap.Hists[StageHistName(StageBcastEnqueue)].Count != 1 || snap.Hists[HistTotal].Count != 1 {
+				t.Fatalf("bcast_enqueue deltas %d, totals %d, want 1 and 1",
+					snap.Hists[StageHistName(StageBcastEnqueue)].Count, snap.Hists[HistTotal].Count)
+			}
+
+			// In actor-first order nothing waits.
+			ctx = tr.Arrival(Context{}, 3, 10, 0)
+			tr.Stamp(ctx, StageDequeue)
+			tr.Stamp(ctx, StageBcastEnqueue)
+			mode.finish(tr, ctx)
+			if tr.Completed() != 2 || tr.InFlight() != 0 {
+				t.Fatalf("finish after a closed server leg: completed %d, in flight %d", tr.Completed(), tr.InFlight())
+			}
+		})
+	}
+}
+
 // TestTracerFirstWins checks fan-out idempotence: a second stamp of the same
 // stage (every broadcast leg stamps drain/encode/write) is a no-op.
 func TestTracerFirstWins(t *testing.T) {

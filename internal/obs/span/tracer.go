@@ -42,7 +42,11 @@ type record struct {
 	stamps [NumStages]int64
 	first  int64 // first stamp (absolute)
 	last   int64 // latest stamp (absolute, monotone)
-	free   *record
+	// finishing marks a record whose finishing stamp arrived while the
+	// session actor was still between its dequeue and broadcast-enqueue
+	// stamps; the actor's closing stamp completes it (see finishSampled).
+	finishing bool
+	free      *record
 }
 
 type opKey struct {
@@ -205,11 +209,19 @@ func (t *Tracer) StampAt(ctx Context, s Stage, ns int64) {
 
 //go:noinline
 func (t *Tracer) stampSampled(ctx Context, s Stage, ns int64) {
+	k := opKey{ctx.Site, ctx.Seq}
 	t.mu.Lock()
-	if r := t.inflight[opKey{ctx.Site, ctx.Seq}]; r != nil {
-		t.stampLocked(r, s, ns)
+	r := t.inflight[k]
+	if r == nil {
+		t.mu.Unlock()
+		return
 	}
-	t.mu.Unlock()
+	t.stampLocked(r, s, ns)
+	if !(r.finishing && s == StageBcastEnqueue) {
+		t.mu.Unlock()
+		return
+	}
+	t.completeAndUnlock(k, r)
 }
 
 // StampWrite records the TCP write stamp and, in FinishOnWrite mode,
@@ -230,6 +242,14 @@ func (t *Tracer) StampWrite(ctx Context) {
 // recorded, the span moves to the completed ring, and the record is
 // recycled. A ctx with no in-flight record (already finished by an earlier
 // fan-out leg, or evicted) is a no-op.
+//
+// One exception keeps the server leg whole on more than one core: the
+// session actor stamps bcast_enqueue after handing the broadcast to the
+// senders, so a destination can write — or a remote editor integrate —
+// before the actor gets there. A finish that finds the actor's leg open
+// (dequeue stamped, bcast_enqueue not) stamps its stage and leaves the
+// completion to the actor's closing stamp, which would otherwise find the
+// record gone and be dropped silently.
 func (t *Tracer) FinishAt(ctx Context, s Stage) {
 	if t == nil || !ctx.Sampled() || !t.enabled.Load() {
 		return
@@ -247,6 +267,17 @@ func (t *Tracer) finishSampled(ctx Context, s Stage, ns int64) {
 		return
 	}
 	t.stampLocked(r, s, ns)
+	if r.stamps[StageDequeue] != 0 && r.stamps[StageBcastEnqueue] == 0 {
+		r.finishing = true
+		t.mu.Unlock()
+		return
+	}
+	t.completeAndUnlock(k, r)
+}
+
+// completeAndUnlock retires r as a completed span. Called with t.mu held;
+// the histogram and counter are recorded after it is released.
+func (t *Tracer) completeAndUnlock(k opKey, r *record) {
 	total := r.last - r.first
 	t.pushLocked(r, true)
 	delete(t.inflight, k)

@@ -1,0 +1,310 @@
+package server_test
+
+import (
+	"fmt"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"repro"
+	"repro/internal/core"
+	"repro/internal/journal"
+	"repro/internal/server"
+	"repro/internal/transport"
+)
+
+// journaledManager builds a manager journaling every session under dir with
+// the reducesrv file layout.
+func journaledManager(dir string, opts ...server.ManagerOption) *server.Manager {
+	return server.NewManager(append([]server.ManagerOption{
+		server.WithInitialText("base"),
+		server.WithJournal(server.JournalFiles(filepath.Join(dir, "j"))),
+	}, opts...)...)
+}
+
+// waitCounts blocks until the session has received everything the editors
+// generated and they have integrated everything it sent them.
+func waitCounts(t *testing.T, sess *server.Session, eds ...*repro.Editor) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		received, sent := sess.Counts()
+		quiet := true
+		for _, e := range eds {
+			if err := e.Err(); err != nil {
+				t.Fatalf("editor %d failed: %v", e.Site(), err)
+			}
+			fromServer, local := e.SV()
+			if received[e.Site()] != local || sent[e.Site()] != fromServer {
+				quiet = false
+			}
+		}
+		if quiet {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("session %q did not quiesce", sess.Name())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCrashRestartFromJournals is the crash schedule on the unified server:
+// the default document and two named ones, journaled, on the pooled and
+// dispatched connection layout, with idle dehydration racing the bursts.
+// The process "dies" without a single graceful leave; a second manager
+// recovers every session from its journal, the old sites rejoin under their
+// ids, and texts and counters continue exactly where the journals show them.
+func TestCrashRestartFromJournals(t *testing.T) {
+	dir := t.TempDir()
+	names := []string{"", "alpha", "dir/beta"} // the last one needs escaping
+	type life struct {
+		mgr  *server.Manager
+		svc  *server.Service
+		dial func() (transport.Conn, error)
+	}
+	start := func() life {
+		ln := transport.NewMemListener()
+		mgr := journaledManager(dir, server.WithIdleDehydrate(2*time.Millisecond))
+		svc := server.Serve(ln, mgr, server.WithWriterPool(-1), server.WithEventDispatch(-1))
+		return life{mgr, svc, ln.Dial}
+	}
+	connect := func(l life, name string, site int) *repro.Editor {
+		t.Helper()
+		conn, err := l.dial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ed, err := repro.ConnectSession(conn, name, site)
+		if err != nil {
+			t.Fatalf("session %q site %d: %v", name, site, err)
+		}
+		return ed
+	}
+
+	// First life: two editors per document, interleaved bursts with
+	// park-sized gaps.
+	l1 := start()
+	eds := map[string][2]*repro.Editor{}
+	for _, name := range names {
+		eds[name] = [2]*repro.Editor{connect(l1, name, 0), connect(l1, name, 0)}
+	}
+	for round := 0; round < 6; round++ {
+		for _, name := range names {
+			for i, ed := range eds[name] {
+				for k := 0; k < 5; k++ {
+					if err := ed.Insert(0, fmt.Sprintf("%d", i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		if round%2 == 1 {
+			time.Sleep(6 * time.Millisecond)
+		}
+	}
+	type before struct {
+		text     string
+		sites    [2]int
+		received map[int]uint64
+	}
+	was := map[string]before{}
+	for _, name := range names {
+		sess, ok := l1.mgr.Get(name)
+		if !ok {
+			t.Fatalf("session %q missing", name)
+		}
+		pair := eds[name]
+		waitCounts(t, sess, pair[0], pair[1])
+		received, _ := sess.Counts()
+		was[name] = before{sess.Text(), [2]int{pair[0].Site(), pair[1].Site()}, received}
+		if got := len(sess.Text()); got != len("base")+60 {
+			t.Fatalf("session %q holds %d runes before the crash, want %d", name, got, len("base")+60)
+		}
+	}
+	// The crash: the sessions (and their journals) go first, so no
+	// connection gets to record its leave — the state kill -9 leaves behind.
+	_ = l1.mgr.Close()
+	_ = l1.svc.Close()
+	for _, pair := range eds {
+		_ = pair[0].Close()
+		_ = pair[1].Close()
+	}
+	for _, name := range names {
+		if _, _, err := journal.Replay(server.JournalFiles(filepath.Join(dir, "j"))(name), "base"); err != nil {
+			t.Fatalf("journal of %q does not replay: %v", name, err)
+		}
+	}
+
+	// Second life.
+	l2 := start()
+	defer l2.mgr.Close()
+	defer l2.svc.Close()
+	for _, name := range names {
+		sess, err := l2.mgr.GetOrCreate(name)
+		if err != nil {
+			t.Fatalf("recover %q: %v", name, err)
+		}
+		b := was[name]
+		if got := sess.Text(); got != b.text {
+			t.Fatalf("session %q recovered %q, want %q", name, got, b.text)
+		}
+		if sites := sess.Sites(); len(sites) != 0 {
+			t.Fatalf("session %q recovered with sites %v still joined", name, sites)
+		}
+		a := connect(l2, name, b.sites[0])
+		defer a.Close()
+		c := connect(l2, name, b.sites[1])
+		defer c.Close()
+		if a.Site() != b.sites[0] || c.Site() != b.sites[1] {
+			t.Fatalf("session %q rejoined as %d,%d, want %v", name, a.Site(), c.Site(), b.sites)
+		}
+		if a.Text() != b.text {
+			t.Fatalf("session %q rejoin snapshot %q, want %q", name, a.Text(), b.text)
+		}
+		// Counters resume: SV_0[site] is what the journal shows, and the
+		// rejoined editor continues its own count from there.
+		received, _ := sess.Counts()
+		for _, ed := range []*repro.Editor{a, c} {
+			if _, local := ed.SV(); received[ed.Site()] != b.received[ed.Site()] || local != b.received[ed.Site()] {
+				t.Fatalf("session %q site %d resumed at SV_0=%d local=%d, journal shows %d",
+					name, ed.Site(), received[ed.Site()], local, b.received[ed.Site()])
+			}
+		}
+		if err := a.Insert(0, "(recovered) "); err != nil {
+			t.Fatal(err)
+		}
+		waitCounts(t, sess, a, c)
+		if want := "(recovered) " + b.text; c.Text() != want || sess.Text() != want {
+			t.Fatalf("session %q after recovery: editor %q, notifier %q, want %q", name, c.Text(), sess.Text(), want)
+		}
+	}
+}
+
+// TestRecoveredSessionAssignsFreshSiteIds: a departed site's counters stay in
+// SV_0 for its rejoin, so after recovery an auto-assigned joiner must get an
+// id the journal has never seen.
+func TestRecoveredSessionAssignsFreshSiteIds(t *testing.T) {
+	dir := t.TempDir()
+	mgr := journaledManager(dir)
+	sess, err := mgr.GetOrCreate("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for want := 1; want <= 3; want++ {
+		snap, err := sess.Join(0, server.Subscriber{})
+		if err != nil || snap.Site != want {
+			t.Fatalf("first life join = site %d, %v; want %d", snap.Site, err, want)
+		}
+	}
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	mgr2 := journaledManager(dir)
+	defer mgr2.Close()
+	sess2, err := mgr2.GetOrCreate("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := sess2.Join(0, server.Subscriber{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Site != 4 {
+		t.Fatalf("auto-assigned site %d on a journal that saw sites 1-3, want 4", snap.Site)
+	}
+	// An explicit rejoin still gets its old id back.
+	if snap, err := sess2.Join(2, server.Subscriber{}); err != nil || snap.Site != 2 {
+		t.Fatalf("rejoin as 2 = site %d, %v", snap.Site, err)
+	}
+}
+
+// TestWriteAheadDiscipline pins the journal's ordering rules inside the
+// session actor: an accepted operation is on disk by the time Receive
+// returns, an operation the engine would refuse is never written, and when
+// the journal itself fails neither an operation nor a join takes effect.
+func TestWriteAheadDiscipline(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "j")
+	mgr := journaledManager(dir)
+	defer mgr.Close()
+	sess, err := mgr.GetOrCreate("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var delivered int
+	if _, err := sess.Join(1, server.Subscriber{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Join(2, server.Subscriber{Deliver: func(core.ServerMsg) { delivered++ }}); err != nil {
+		t.Fatal(err)
+	}
+	client := core.NewClient(1, "base")
+	send := func(text string) error {
+		m, err := client.Insert(0, text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess.Receive(m)
+	}
+	replayed := func() (string, int) {
+		t.Helper()
+		srv, n, err := journal.Replay(path, "base")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv.Text(), n
+	}
+
+	// Accepted: durable before Receive returns (the writer is still open).
+	if err := send("a"); err != nil {
+		t.Fatal(err)
+	}
+	text, records := replayed()
+	if text != "abase" || records != 3 {
+		t.Fatalf("journal after one op replays to %q in %d records, want %q in 3", text, records, "abase")
+	}
+
+	// Refused by Precheck (a FIFO gap): never journaled, never applied.
+	m, _ := client.Insert(0, "lost")
+	gap, _ := client.Insert(0, "gap")
+	if err := sess.Receive(gap); err == nil {
+		t.Fatal("an operation that skips a sequence number was accepted")
+	}
+	if text, n := replayed(); text != "abase" || n != records {
+		t.Fatalf("a refused operation reached the journal: %q in %d records", text, n)
+	}
+	if err := sess.Receive(m); err != nil { // the link is still in order
+		t.Fatal(err)
+	}
+	if err := sess.Receive(gap); err != nil {
+		t.Fatal(err)
+	}
+	before := sess.Text()
+	if !strings.HasPrefix(before, "gaplost") || delivered != 3 {
+		t.Fatalf("notifier holds %q after %d deliveries", before, delivered)
+	}
+
+	// The journal breaks: an operation is refused before any effect...
+	sess.BreakJournal()
+	if err := send("x"); err == nil {
+		t.Fatal("an operation was accepted with no journal to hold it")
+	}
+	if got := sess.Text(); got != before || delivered != 3 {
+		t.Fatalf("an unjournaled operation took effect: %q, %d deliveries", got, delivered)
+	}
+	// ...and a join is rolled back out of the engine.
+	admitted := false
+	if _, err := sess.Join(7, server.Subscriber{Admitted: func(core.Snapshot) { admitted = true }}); err == nil {
+		t.Fatal("a site was admitted with no journal to hold the join")
+	}
+	if admitted {
+		t.Fatal("a rolled-back joiner was sent a snapshot")
+	}
+	received, _ := sess.Counts()
+	if _, in := received[7]; in || len(sess.Sites()) != 2 {
+		t.Fatalf("rolled-back site still joined: sites %v", sess.Sites())
+	}
+}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"net/url"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -41,22 +42,15 @@ type Manager struct {
 	// execute for sampled operations.
 	spans *span.Tracer
 
-	// fanoutThreshold is the destination count at which sessions scatter a
-	// broadcast's enqueues across the writer pool instead of looping
-	// serially (0 = transport.DefaultFanoutThreshold, < 0 = always
-	// serial). Shared by every session; Serve sets it from
-	// WithFanoutThreshold.
-	fanoutThreshold atomic.Int32
+	// journalPath maps a session name to its journal file ("" = that
+	// session is not journaled).
+	journalPath func(session string) string
 
 	reg atomic.Value // registry
 
 	mu     sync.Mutex // serializes registry writes and Close
 	closed bool
 }
-
-// SetFanoutThreshold sets the parallel broadcast fan-out threshold for every
-// session (0 restores the default, negative disables parallel fan-out).
-func (m *Manager) SetFanoutThreshold(n int) { m.fanoutThreshold.Store(int32(n)) }
 
 // ManagerOption configures a Manager.
 type ManagerOption func(*Manager)
@@ -119,11 +113,34 @@ func WithIdleDehydrate(d time.Duration) ManagerOption {
 	return func(m *Manager) { m.idleD = d }
 }
 
+// WithJournal makes sessions crash-consistent: path names each session's
+// journal file ("" = that session is not journaled). Every join, leave and
+// accepted operation is appended to the file before it takes effect, and a
+// session whose file already exists is rebuilt from it — surviving clients
+// reconnect with their site ids and resume, their counters continuing where
+// the journal shows them.
+func WithJournal(path func(session string) string) ManagerOption {
+	return func(m *Manager) { m.journalPath = path }
+}
+
+// JournalFiles is the WithJournal layout reducesrv -journal uses: the default
+// session "" journals to base itself (so a single-document journal keeps its
+// name), a named session to base.<escaped name>.
+func JournalFiles(base string) func(session string) string {
+	return func(session string) string {
+		if session == "" {
+			return base
+		}
+		return base + "." + url.PathEscape(session)
+	}
+}
+
 // NewManager returns an empty manager; sessions are created on first use.
 func NewManager(opts ...ManagerOption) *Manager {
 	m := &Manager{
-		initial: func(string) string { return "" },
-		queue:   64,
+		initial:     func(string) string { return "" },
+		queue:       64,
+		journalPath: func(string) string { return "" },
 	}
 	for _, o := range opts {
 		o(m)
@@ -179,7 +196,13 @@ func (m *Manager) GetOrCreate(name string) (*Session, error) {
 	if s, ok := old[name]; ok { // lost the creation race
 		return s, nil
 	}
-	s := newSession(name, m.initial(name), m.queue, m.sessionChild(name), m.ring, m.spans, m.idleD, m.rehydrations, &m.fanoutThreshold, m.engine...)
+	s, err := newSession(m, name)
+	if err != nil {
+		// Still under m.mu, like the Child call that created it, so a
+		// concurrent creator of the same name cannot lose its child here.
+		m.dropChild(name)
+		return nil, err
+	}
 	next := make(registry, len(old)+1)
 	for k, v := range old {
 		next[k] = v
@@ -207,9 +230,7 @@ func (m *Manager) Drop(name string) {
 	m.mu.Unlock()
 	if ok {
 		_ = s.Close()
-		if m.obsReg != nil {
-			m.obsReg.DropChild(sessionChildName(name))
-		}
+		m.dropChild(name)
 	}
 }
 
@@ -227,6 +248,13 @@ func (m *Manager) sessionChild(name string) *obs.Registry {
 		return nil
 	}
 	return m.obsReg.Child(sessionChildName(name))
+}
+
+// dropChild removes the session's observability child registry, if any.
+func (m *Manager) dropChild(name string) {
+	if m.obsReg != nil {
+		m.obsReg.DropChild(sessionChildName(name))
+	}
 }
 
 // sessionChildName maps a session name to its registry child name; the
@@ -263,7 +291,8 @@ func (m *Manager) Stats() []Stats {
 	return out
 }
 
-// Close stops every session and rejects further creation.
+// Close stops every session and rejects further creation. It returns the
+// first error a session's journal reported on close.
 func (m *Manager) Close() error {
 	m.mu.Lock()
 	if m.closed {
@@ -274,11 +303,12 @@ func (m *Manager) Close() error {
 	reg := m.reg.Load().(registry)
 	m.reg.Store(registry{})
 	m.mu.Unlock()
+	var first error
 	for name, s := range reg {
-		_ = s.Close()
-		if m.obsReg != nil {
-			m.obsReg.DropChild(sessionChildName(name))
+		if err := s.Close(); err != nil && first == nil {
+			first = err
 		}
+		m.dropChild(name)
 	}
-	return nil
+	return first
 }

@@ -14,12 +14,13 @@ import (
 	"repro/internal/wire"
 )
 
-// Service is the network front end of a Manager: one listener serving many
-// document sessions. A connection opens with either a wire.JoinReq (the
-// single-document protocol — routed to the default session "") or a
+// Service is the network front end of a Manager — the one notifier front end
+// in the tree (repro.Notifier is a Service holding only the default session):
+// one listener serving many document sessions. A connection opens with either
+// a wire.JoinReq (the single-document protocol, identical to a
+// wire.SessionJoinReq naming the default session "") or a
 // wire.SessionJoinReq naming a document; afterwards the per-connection
-// protocol is identical to the single-session Notifier's, so reducecli and
-// the Editor client work unchanged against either server.
+// protocol is the same for every session.
 //
 // By default every connection costs two goroutines (reader + writer). The
 // goroutine-lean options change that: WithWriterPool drains all outbound
@@ -54,10 +55,8 @@ type Service struct {
 type ServeOption func(*serveConfig)
 
 type serveConfig struct {
-	writerPool      int
-	eventDispatch   int
-	dispatchShards  int
-	fanoutThreshold int
+	writerPool    int
+	eventDispatch int
 }
 
 // WithWriterPool drains all connections' outbound queues with a fixed pool
@@ -78,23 +77,6 @@ func WithEventDispatch(n int) ServeOption {
 	return func(c *serveConfig) { c.eventDispatch = n }
 }
 
-// WithDispatchShards splits the writer pool's and event dispatcher's ready
-// rings into n per-worker shards with work stealing (DESIGN.md §18). n == 0
-// keeps the default of one shard per worker; n == 1 is the single-ring §15
-// layout. Effective only with WithWriterPool / WithEventDispatch.
-func WithDispatchShards(n int) ServeOption {
-	return func(c *serveConfig) { c.dispatchShards = n }
-}
-
-// WithFanoutThreshold sets the destination count at which a session's
-// broadcast fan-out scatters its enqueues across the writer pool's shards
-// instead of looping serially (0 = transport.DefaultFanoutThreshold,
-// negative = always serial). The setting lands on the manager, shared by
-// every session it runs.
-func WithFanoutThreshold(n int) ServeOption {
-	return func(c *serveConfig) { c.fanoutThreshold = n }
-}
-
 // Serve starts accepting connections for mgr's sessions on ln and returns
 // immediately. The caller retains ownership of mgr (Close does not close it),
 // so one manager can serve several listeners.
@@ -105,13 +87,10 @@ func Serve(ln transport.Listener, mgr *Manager, opts ...ServeOption) *Service {
 	}
 	s := &Service{ln: ln, mgr: mgr, conns: make(map[transport.Conn]*transport.Sender)}
 	if cfg.writerPool != 0 {
-		s.pool = transport.NewWriterPool(cfg.writerPool, transport.WithShards(cfg.dispatchShards))
+		s.pool = transport.NewWriterPool(cfg.writerPool)
 	}
 	if cfg.eventDispatch != 0 {
-		s.disp = transport.NewDispatcher(cfg.eventDispatch, 0, transport.WithShards(cfg.dispatchShards))
-	}
-	if cfg.fanoutThreshold != 0 {
-		mgr.SetFanoutThreshold(cfg.fanoutThreshold)
+		s.disp = transport.NewDispatcher(cfg.eventDispatch, 0)
 	}
 	if reg := mgr.Registry(); reg != nil {
 		// Live connection-queue metrics for /metricz. One gauge per manager:
@@ -145,6 +124,16 @@ func (s *Service) QueueHighWater() int {
 // Addr returns the listener's address.
 func (s *Service) Addr() string { return s.ln.Addr() }
 
+// Dispatched returns how many connections are parked on the event dispatcher
+// (0 without WithEventDispatch). Tests use it to assert that churn retires
+// every dispatched connection exactly once.
+func (s *Service) Dispatched() int {
+	if s.disp == nil {
+		return 0
+	}
+	return s.disp.Len()
+}
+
 // String summarizes the service for status logs: address, live connections,
 // session count, and the queue high-water mark.
 func (s *Service) String() string {
@@ -159,8 +148,8 @@ func (s *Service) String() string {
 // around reg: it registers the process-wide wire and transport counters on
 // reg and returns the obs handler serving /metricz, /tracez (when ring is
 // non-nil), /healthz, pprof, and expvar. Extra endpoints (the span tracer's
-// /spanz) and the readiness probe arrive via opts. Both reducesrv modes and
-// tests mount it.
+// /spanz) and the readiness probe arrive via opts. reducesrv and tests mount
+// it.
 func DebugHandler(reg *obs.Registry, ring *obs.DecisionRing, opts ...obs.HandlerOption) http.Handler {
 	wire.RegisterMetrics(reg)
 	transport.RegisterMetrics(reg)
@@ -249,12 +238,12 @@ func (s *Service) acceptLoop() {
 		}
 		s.conns[conn] = nil // sender registered once the join handshake completes
 		s.mu.Unlock()
+		cs := &connState{s: s, conn: conn}
 		if s.disp != nil {
 			if ec, ok := conn.(transport.EventConn); ok {
 				// Event path: no goroutine. The dispatcher steps the
 				// connection's state machine per inbound message; the join
 				// request arrives as the first dispatched message.
-				cs := &connState{s: s, conn: conn}
 				if s.disp.Add(ec, cs.handleMsg, cs.finish) {
 					continue
 				}
@@ -263,14 +252,28 @@ func (s *Service) acceptLoop() {
 			}
 		}
 		s.wg.Add(1)
-		go s.handle(conn)
+		go s.read(cs)
 	}
 }
 
-// connState is one event-dispatched connection's protocol state, stepped by
-// dispatcher workers (never concurrently — the dispatcher guarantees one
-// servicer per conn, preserving the per-connection FIFO the paper's links
-// assume).
+// read is the dedicated reader: a blocking Recv loop stepping the same state
+// machine the dispatcher steps, then the same exactly-once teardown.
+func (s *Service) read(cs *connState) {
+	defer s.wg.Done()
+	for {
+		m, err := cs.conn.Recv()
+		if err != nil || !cs.handleMsg(m) {
+			break
+		}
+	}
+	cs.finish()
+}
+
+// connState is one connection's protocol state: join handshake first, then
+// the operation loop. It is stepped by exactly one reader at a time — the
+// connection's dedicated reader goroutine or a dispatcher worker (the
+// dispatcher guarantees one servicer per conn) — in delivery order,
+// preserving the per-connection FIFO the paper's links assume.
 type connState struct {
 	s    *Service
 	conn transport.Conn
@@ -283,16 +286,10 @@ type connState struct {
 }
 
 // handleMsg processes one inbound message; returning false retires the
-// connection (the dispatcher then runs finish exactly once).
+// connection (its reader then runs finish exactly once).
 func (cs *connState) handleMsg(m wire.Msg) bool {
 	if !cs.admitted {
-		sess, site, readOnly, snd, err := cs.s.admitMsg(cs.conn, m)
-		if err != nil {
-			return false
-		}
-		cs.admitted = true
-		cs.sess, cs.site, cs.readOnly, cs.snd = sess, site, readOnly, snd
-		return true
+		return cs.admit(m) == nil
 	}
 	switch v := m.(type) {
 	case wire.ClientOp:
@@ -318,8 +315,8 @@ func (cs *connState) handleMsg(m wire.Msg) bool {
 	}
 }
 
-// finish is the dispatcher's exactly-once teardown hook — the event-path
-// equivalent of handle's defers.
+// finish is the exactly-once teardown of a retired connection: leave the
+// session, close the sender, forget and close the conn.
 func (cs *connState) finish() {
 	if cs.admitted {
 		_ = cs.sess.Leave(cs.site)
@@ -331,93 +328,30 @@ func (cs *connState) finish() {
 	_ = cs.conn.Close()
 }
 
-// handle runs one connection: session routing, join handshake, then the
-// operation loop.
-func (s *Service) handle(conn transport.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		_ = conn.Close()
-	}()
-
-	sess, site, readOnly, snd, err := s.admit(conn)
-	if err != nil {
-		return
-	}
-	defer func() {
-		_ = sess.Leave(site)
-		snd.Close()
-	}()
-	for {
-		m, err := conn.Recv()
-		if err != nil {
-			return
-		}
-		switch v := m.(type) {
-		case wire.ClientOp:
-			if v.From != site || readOnly {
-				return // impersonation, or an op from a viewer
-			}
-			var ctx span.Context
-			if tr := s.mgr.SpanTracer(); tr.Enabled() {
-				ctx = tr.Arrival(v.Trace, v.Ref.Site, v.Ref.Seq, connWakeNs(conn))
-			}
-			if err := sess.Receive(core.ClientMsg{From: v.From, Op: v.Op, TS: v.TS, Ref: v.Ref, Trace: ctx}); err != nil {
-				return
-			}
-		case wire.Presence:
-			if v.From != site {
-				return
-			}
-			if err := sess.RelayPresence(core.PresenceMsg{
-				From: v.From, TS: v.TS, Anchor: v.Anchor, Head: v.Head, Active: v.Active,
-			}); err != nil {
-				return
-			}
-		case wire.Leave:
-			return
-		default:
-			return // protocol violation
-		}
-	}
-}
-
-// admit reads the opening message, routes to (or creates) the session, and
-// completes the join handshake. The snapshot is enqueued from the session
+// admit handles the opening message: it routes to (or creates) the session
+// and completes the join handshake. The snapshot is enqueued from the session
 // goroutine by the Admitted hook, so it precedes any broadcast to the site.
-func (s *Service) admit(conn transport.Conn) (*Session, int, bool, *transport.Sender, error) {
-	m, err := conn.Recv()
-	if err != nil {
-		return nil, 0, false, nil, err
-	}
-	return s.admitMsg(conn, m)
-}
-
-// admitMsg is admit with the opening message already received — the event
-// path gets it from the dispatcher instead of a blocking Recv.
-func (s *Service) admitMsg(conn transport.Conn, m wire.Msg) (*Session, int, bool, *transport.Sender, error) {
+func (cs *connState) admit(m wire.Msg) error {
+	s := cs.s
 	var name string
 	var site int
-	var readOnly bool
 	switch v := m.(type) {
 	case wire.JoinReq:
-		site, readOnly = v.Site, v.ReadOnly
+		site, cs.readOnly = v.Site, v.ReadOnly
 	case wire.SessionJoinReq:
-		name, site, readOnly = v.Session, v.Site, v.ReadOnly
+		name, site, cs.readOnly = v.Session, v.Site, v.ReadOnly
 	default:
-		return nil, 0, false, nil, fmt.Errorf("server: expected join, got %T", m)
+		return fmt.Errorf("server: expected join, got %T", m)
 	}
 	sess, err := s.mgr.GetOrCreate(name)
 	if err != nil {
-		return nil, 0, false, nil, err
+		return err
 	}
 	// The sender is the shared writer-queue type: the session goroutine
 	// never blocks on a peer's network backpressure, and its drains
 	// coalesce bursts into batched frames with one flush each. With a
 	// writer pool it also costs no goroutine while idle.
-	snd := transport.NewPooledSender(conn, ErrClosed, s.pool)
+	snd := transport.NewPooledSender(cs.conn, ErrClosed, s.pool)
 	if s.queueHist != nil {
 		snd.SetQueueHistogram(s.queueHist)
 	}
@@ -425,12 +359,12 @@ func (s *Service) admitMsg(conn transport.Conn, m wire.Msg) (*Session, int, bool
 		snd.SetTracer(tr)
 	}
 	s.mu.Lock()
-	if _, ok := s.conns[conn]; ok {
-		s.conns[conn] = snd
+	if _, ok := s.conns[cs.conn]; ok {
+		s.conns[cs.conn] = snd
 	}
 	s.mu.Unlock()
 	snap, err := sess.Join(site, Subscriber{
-		ReadOnly: readOnly,
+		ReadOnly: cs.readOnly,
 		Admitted: func(sn core.Snapshot) {
 			_ = snd.Enqueue(wire.JoinResp{Site: sn.Site, Text: sn.Text, LocalOps: sn.LocalOps})
 		},
@@ -446,7 +380,9 @@ func (s *Service) admitMsg(conn transport.Conn, m wire.Msg) (*Session, int, bool
 	})
 	if err != nil {
 		snd.Close()
-		return nil, 0, false, nil, err
+		return err
 	}
-	return sess, snap.Site, readOnly, snd, nil
+	cs.admitted = true
+	cs.sess, cs.site, cs.snd = sess, snap.Site, snd
+	return nil
 }

@@ -15,10 +15,10 @@ package server
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
 	"repro/internal/trace"
@@ -61,7 +61,7 @@ type Subscriber struct {
 	// Admitted, when non-nil, is called with the join snapshot after the
 	// site is registered but before any broadcast can be delivered —
 	// the hook that lets a transport enqueue the snapshot strictly ahead
-	// of operations (the ordering Notifier.admit gets from its lock).
+	// of operations.
 	Admitted func(core.Snapshot)
 	// ReadOnly marks a viewer; Receive rejects its operations.
 	ReadOnly bool
@@ -160,50 +160,72 @@ type Session struct {
 	// broadcast enqueue) of sampled operations.
 	spans *span.Tracer
 
-	// fanoutT, when non-nil, is the manager's shared fan-out threshold
-	// (0 = transport.DefaultFanoutThreshold, < 0 = always serial); fanout
-	// is the actor-owned scratch that scatters broadcast enqueues across
-	// the writer pool's shards when destinations opt in via FanoutSender.
-	fanoutT *atomic.Int32
-	fanout  transport.FanoutScratch
+	// fanout is the actor-owned scratch that scatters broadcast enqueues
+	// across the writer pool's shards when destinations opt in via
+	// FanoutSender and there are at least transport.DefaultFanoutThreshold
+	// of them.
+	fanout transport.FanoutScratch
 
 	// Engine state below is owned by the session goroutine exclusively
-	// (srv is nil while parked; subs survives parking untouched).
+	// (srv is nil while parked; subs, jw survive parking untouched).
 	srv      *core.Server
 	subs     map[int]*Subscriber
 	nextSite int
 	received uint64
+	// jw, when non-nil (Manager WithJournal), is the session's write-ahead
+	// journal: every join, leave and accepted operation is appended before
+	// it takes effect. It stays open across dehydration — a checkpoint is
+	// memory-only, the journal is the durable truth — and is closed by Close
+	// once the actor has drained.
+	jw *journal.Writer
 }
 
-// newSession starts one document's notifier goroutine. child, when non-nil,
-// is the session's observability registry: engine counters are recorded
-// into it (trace.MetricsOn), receive latency lands in its receive.ns
-// histogram, and live size gauges are registered on it. ring, when non-nil,
-// streams the engine's causality decisions under the session's name.
-func newSession(name, initial string, queue int, child *obs.Registry, ring *obs.DecisionRing, spans *span.Tracer, idleD time.Duration, rehydrations *obs.Counter, fanoutT *atomic.Int32, opts ...core.ServerOption) *Session {
+// newSession starts one document's notifier goroutine with m's settings.
+// With observability the session's child registry receives the engine
+// counters (trace.MetricsOn), the receive.ns latency histogram and live size
+// gauges; with a decision ring the engine's causality decisions stream under
+// the session's name. A journaled session (WithJournal) is rebuilt from its
+// journal, or starts one if the file does not exist yet.
+func newSession(m *Manager, name string) (*Session, error) {
+	child := m.sessionChild(name)
+	opts := m.engine[:len(m.engine):len(m.engine)]
 	if child != nil {
-		opts = append(opts[:len(opts):len(opts)], core.WithServerMetrics(trace.MetricsOn(child)))
+		opts = append(opts, core.WithServerMetrics(trace.MetricsOn(child)))
 	}
-	if ring != nil {
-		opts = append(opts[:len(opts):len(opts)], core.WithServerDecisionRing(ring, name))
+	if m.ring != nil {
+		opts = append(opts, core.WithServerDecisionRing(m.ring, name))
 	}
-	if spans != nil {
-		opts = append(opts[:len(opts):len(opts)], core.WithServerSpans(spans))
+	if m.spans != nil {
+		opts = append(opts, core.WithServerSpans(m.spans))
 	}
 	s := &Session{
 		name:         name,
-		cmds:         make(chan cmd, queue),
+		cmds:         make(chan cmd, m.queue),
 		quit:         make(chan struct{}),
 		done:         make(chan struct{}),
-		idleD:        idleD,
+		idleD:        m.idleD,
 		lastAct:      time.Now(),
 		engineOpts:   opts,
-		rehydrations: rehydrations,
-		spans:        spans,
-		fanoutT:      fanoutT,
-		srv:          core.NewServer(initial, opts...),
+		rehydrations: m.rehydrations,
+		spans:        m.spans,
 		subs:         make(map[int]*Subscriber),
 		nextSite:     1,
+	}
+	if path := m.journalPath(name); path != "" {
+		srv, jw, _, err := journal.Recover(path, m.initial(name), opts...)
+		if err != nil {
+			return nil, err
+		}
+		s.srv, s.jw = srv, jw
+		s.received = srv.SV().SumExcept(0)
+		// Auto-assigned site ids continue past every id the journal has
+		// seen: a departed site's counters stay in SV_0 for its rejoin, so
+		// its id must never be handed to a stranger.
+		if n := srv.SV().Len(); n > s.nextSite {
+			s.nextSite = n
+		}
+	} else {
+		s.srv = core.NewServer(m.initial(name), opts...)
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if child != nil {
@@ -228,7 +250,7 @@ func newSession(name, initial string, queue int, child *obs.Registry, ring *obs.
 		})
 	}
 	go s.run()
-	return s
+	return s, nil
 }
 
 // residentGauge registers a gauge that reads live (on the session goroutine)
@@ -498,6 +520,13 @@ func (s *Session) Join(site int, sub Subscriber) (core.Snapshot, error) {
 		if err != nil {
 			return
 		}
+		if s.jw != nil {
+			if err = s.jw.Append(journal.Record{Kind: journal.KJoin, Site: site}); err != nil {
+				// An admission the journal does not hold must not exist.
+				_ = s.srv.Leave(site)
+				return
+			}
+		}
 		s.subs[site] = &sub
 		if sub.Admitted != nil {
 			sub.Admitted(snap)
@@ -517,7 +546,9 @@ func (s *Session) Leave(site int) error {
 			return // unknown or already gone: Leave is idempotent
 		}
 		delete(s.subs, site)
-		err = s.srv.Leave(site)
+		if err = s.srv.Leave(site); err == nil && s.jw != nil {
+			err = s.jw.Append(journal.Record{Kind: journal.KLeave, Site: site})
+		}
 	}); derr != nil {
 		return derr
 	}
@@ -538,6 +569,18 @@ func (s *Session) Receive(m core.ClientMsg) error {
 		if sub == nil || sub.ReadOnly {
 			err = ErrRejected
 			return
+		}
+		if s.jw != nil {
+			// Write-ahead between validation and application: only operations
+			// the engine will accept are journaled, and they are durable before
+			// any effect (or broadcast) exists.
+			if err = s.srv.Precheck(m); err != nil {
+				return
+			}
+			if err = s.jw.Append(journal.Record{Kind: journal.KClientOp,
+				Op: wire.ClientOp{From: m.From, TS: m.TS, Ref: m.Ref, Op: m.Op}}); err != nil {
+				return
+			}
 		}
 		bcast, _, rerr := s.srv.Receive(m)
 		if rerr != nil {
@@ -577,11 +620,7 @@ func (s *Session) Receive(m core.ClientMsg) error {
 			}
 		}
 		if s.fanout.Len() > 0 {
-			thr := 0
-			if s.fanoutT != nil {
-				thr = int(s.fanoutT.Load())
-			}
-			s.fanout.Broadcast(bc, thr) // consumes bc
+			s.fanout.Broadcast(bc, transport.DefaultFanoutThreshold) // consumes bc
 			s.fanout.Reset()
 		} else if bc != nil {
 			bc.Release()
@@ -597,7 +636,8 @@ func (s *Session) Receive(m core.ClientMsg) error {
 }
 
 // RelayPresence re-coordinates a presence report and fans it out to
-// subscribers that registered a Presence hook.
+// subscribers that registered a Presence hook. Presence is ephemeral: it is
+// never journaled.
 func (s *Session) RelayPresence(m core.PresenceMsg) error {
 	var err error
 	if derr := s.do(func() {
@@ -622,6 +662,29 @@ func (s *Session) Text() string {
 	var text string
 	_ = s.do(func() { text = s.srv.Text() })
 	return text
+}
+
+// Sites returns the ids of the currently joined sites, in no particular
+// order.
+func (s *Session) Sites() []int {
+	var sites []int
+	_ = s.do(func() { sites = s.srv.Sites() })
+	return sites
+}
+
+// Counts reports, per joined site, how many operations the notifier has
+// received from it (SV_0[site]) and sent to it. Tests use this to detect
+// quiescence exactly instead of sleeping.
+func (s *Session) Counts() (received, sent map[int]uint64) {
+	received = make(map[int]uint64)
+	sent = make(map[int]uint64)
+	_ = s.do(func() {
+		for _, site := range s.srv.Sites() {
+			received[site] = s.srv.SV().Of(site)
+			sent[site] = s.srv.SentTo(site)
+		}
+	})
+	return received, sent
 }
 
 // Stats is a point-in-time summary of one session.
@@ -657,6 +720,8 @@ func (s *Session) Stats() Stats {
 // Close stops the session goroutine. Buffered commands still execute;
 // subsequent calls return ErrClosed. Closing a dehydrated session is
 // immediate — there is no goroutine to stop and the checkpoint is dropped.
+// A journaled session's writer is closed last, after the actor has drained,
+// and its error returned.
 func (s *Session) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -677,5 +742,8 @@ func (s *Session) Close() error {
 	s.inflight.Wait()
 	close(quit)
 	<-done
+	if s.jw != nil {
+		return s.jw.Close()
+	}
 	return nil
 }

@@ -29,16 +29,10 @@ package repro
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/journal"
-	"repro/internal/obs"
-	"repro/internal/obs/span"
+	"repro/internal/server"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // ErrClosed is returned by operations on a closed Notifier or Editor.
@@ -47,112 +41,24 @@ var ErrClosed = errors.New("repro: closed")
 // ErrReadOnly is returned by editing methods of a viewer (ConnectViewer).
 var ErrReadOnly = errors.New("repro: read-only viewer")
 
-// peer is the notifier's view of one connected editor.
-type peer struct {
-	conn     transport.Conn
-	snd      *transport.Sender
-	readOnly bool
-}
-
 // Notifier is the running site-0 service: it owns the authoritative
 // document copy, admits editors, transforms and relays their operations.
+//
+// It is the one-document face of the session server (internal/server): a
+// Manager holding the default session "" behind a Service on the listener.
+// An editor's plain join (Connect) lands in that session; the accept loop,
+// the per-connection protocol and the journaling are the Service's and the
+// Session's — there is no second implementation here.
 type Notifier struct {
-	ln transport.Listener
-
-	// pool and disp, when non-nil (ServeLean), replace the per-connection
-	// writer and reader goroutines with shared worker sets; an idle
-	// event-capable connection then costs zero goroutines (DESIGN.md §15).
-	pool *transport.WriterPool
-	disp *transport.Dispatcher
-
-	// fanout scatters broadcast enqueues across the pool's ring shards when
-	// the destination count reaches fanoutThr (DESIGN.md §18). Owned by the
-	// receive path under n.mu.
-	fanout    transport.FanoutScratch
-	fanoutThr int
-
-	mu       sync.Mutex
-	srv      *core.Server
-	peers    map[int]*peer
-	nextSite int
-	closed   bool
-	jw       *journal.Writer // nil without persistence
-	// queueHist, when observability is mounted, samples every peer queue's
-	// enqueue-time depth (set under mu; peers pick it up at admit).
-	queueHist *obs.Histogram
-
-	// recvNs observes the receive→transform→broadcast latency. Atomic so
-	// the hot receive path reads it without n.mu ordering concerns.
-	recvNs atomic.Pointer[obs.Histogram]
-
-	// spans, when set (TraceSpans), samples per-op lifecycle spans: arrival
-	// adoption on the read path, check/transform/execute in the engine,
-	// drain/encode/write in the senders.
-	spans atomic.Pointer[span.Tracer]
-
-	wg sync.WaitGroup
+	mgr  *server.Manager
+	svc  *server.Service
+	sess *server.Session
 }
 
 // Serve starts a notifier for the given initial document on a listener and
 // returns immediately; the accept loop runs in the background.
 func Serve(ln transport.Listener, initial string, opts ...core.ServerOption) (*Notifier, error) {
-	n := &Notifier{
-		ln:       ln,
-		srv:      core.NewServer(initial, opts...),
-		peers:    make(map[int]*peer),
-		nextSite: 1,
-	}
-	n.wg.Add(1)
-	go n.acceptLoop()
-	return n, nil
-}
-
-// LeanOptions sizes the goroutine-lean connection layer of ServeLean.
-// Zero values keep the classic layout for that half (dedicated goroutine
-// per connection); -1 asks for GOMAXPROCS workers; n > 0 for exactly n.
-type LeanOptions struct {
-	// WriterPool drains every connection's outbound queue with a fixed set
-	// of shared writer goroutines instead of one per connection.
-	WriterPool int
-	// EventDispatch parks the inbound side of event-capable connections
-	// (transport.EventConn — the in-memory transport) on a shared dispatcher.
-	// TCP connections keep a dedicated reader either way: without a platform
-	// poller their readiness is only observable from a blocked Read.
-	EventDispatch int
-	// DispatchShards splits both workers' ready rings into per-worker
-	// shards with work stealing (DESIGN.md §18). 0 = one shard per worker;
-	// 1 = the single-ring §15 layout.
-	DispatchShards int
-	// FanoutThreshold is the destination count at which the broadcast
-	// fan-out scatters its enqueues across the pool's shards instead of
-	// looping serially (0 = transport.DefaultFanoutThreshold, negative =
-	// always serial).
-	FanoutThreshold int
-}
-
-// ServeLean is Serve with the goroutine-lean connection layer: outbound
-// queues drained by a shared writer pool and event-capable inbound sides
-// parked on a shared dispatcher, so an idle in-memory connection costs no
-// goroutines at all and an idle TCP connection exactly one (its reader).
-// Protocol, ordering, and error semantics are identical to Serve — the
-// pooled paths are differentially tested against the dedicated ones.
-func ServeLean(ln transport.Listener, initial string, lean LeanOptions, opts ...core.ServerOption) (*Notifier, error) {
-	n := &Notifier{
-		ln:       ln,
-		srv:      core.NewServer(initial, opts...),
-		peers:    make(map[int]*peer),
-		nextSite: 1,
-	}
-	if lean.WriterPool != 0 {
-		n.pool = transport.NewWriterPool(lean.WriterPool, transport.WithShards(lean.DispatchShards))
-	}
-	if lean.EventDispatch != 0 {
-		n.disp = transport.NewDispatcher(lean.EventDispatch, 0, transport.WithShards(lean.DispatchShards))
-	}
-	n.fanoutThr = lean.FanoutThreshold
-	n.wg.Add(1)
-	go n.acceptLoop()
-	return n, nil
+	return serve(ln, server.WithInitialText(initial), server.WithEngineOptions(opts...))
 }
 
 // ServeWithJournal is Serve with crash-consistent persistence: every state
@@ -161,471 +67,52 @@ func ServeLean(ln transport.Listener, initial string, lean LeanOptions, opts ...
 // (surviving clients reconnect with their site ids and resume — their local
 // counters continue where the journal shows them).
 func ServeWithJournal(ln transport.Listener, initial, journalPath string, opts ...core.ServerOption) (*Notifier, error) {
-	srv, jw, _, err := journal.Recover(journalPath, initial, opts...)
+	return serve(ln, server.WithInitialText(initial), server.WithEngineOptions(opts...),
+		server.WithJournal(server.JournalFiles(journalPath)))
+}
+
+func serve(ln transport.Listener, mopts ...server.ManagerOption) (*Notifier, error) {
+	mgr := server.NewManager(mopts...)
+	// The document exists from the start, not from the first join: Text and
+	// Sites answer at once, and a journal that cannot be recovered fails
+	// here rather than at the first connection.
+	sess, err := mgr.GetOrCreate("")
 	if err != nil {
 		return nil, err
 	}
-	n := &Notifier{
-		ln:       ln,
-		srv:      srv,
-		peers:    make(map[int]*peer),
-		nextSite: 1,
-		jw:       jw,
-	}
-	// Site ids continue past anything the journal has seen.
-	if max := srv.SV().Len(); max > n.nextSite {
-		n.nextSite = max
-	}
-	n.wg.Add(1)
-	go n.acceptLoop()
-	return n, nil
-}
-
-// Observe mounts the notifier's live metrics on reg: the receive.ns latency
-// histogram, the conn.queue.depth histogram fed by every peer's sender, and
-// gauges for joined sites, document size, history-buffer length, clock words
-// (E4 live), and queue high-water. Engine counters are attached separately at
-// construction (pass core.WithServerMetrics(trace.MetricsOn(reg)) to Serve);
-// process-wide wire/transport counters via server.DebugHandler.
-//
-// All lock-taking registry calls happen before the notifier lock is touched
-// and the gauges run with no registry lock held, so there is no ordering
-// between reg's mutex and n.mu.
-func (n *Notifier) Observe(reg *obs.Registry) {
-	recvNs := reg.Histogram(obs.HReceiveNs)
-	queueHist := reg.Histogram(obs.HQueueDepth)
-
-	n.mu.Lock()
-	n.queueHist = queueHist
-	for _, p := range n.peers {
-		p.snd.SetQueueHistogram(queueHist)
-	}
-	n.mu.Unlock()
-	n.recvNs.Store(recvNs)
-
-	reg.Gauge(obs.GSites, func() int64 {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		return int64(len(n.srv.Sites()))
-	})
-	reg.Gauge(obs.GOpsRecv, func() int64 {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		return int64(n.srv.SV().SumExcept(0))
-	})
-	reg.Gauge(obs.GDocRunes, func() int64 {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		return int64(n.srv.DocLen())
-	})
-	reg.Gauge(obs.GHBLen, func() int64 {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		return int64(n.srv.History().Len())
-	})
-	reg.Gauge(obs.GClockWords, func() int64 {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		return int64(n.srv.History().ClockWords())
-	})
-	reg.Gauge(obs.GQueueHighWater, func() int64 { return int64(n.QueueHighWater()) })
-}
-
-// TraceSpans mounts the op-lifecycle tracer: arriving client operations
-// carrying a sampled wire trace context (or chosen by tr's own sampler) get
-// per-stage latency stamps from arrival through broadcast write. Existing
-// and future peer senders pick the tracer up for drain/encode/write stamps.
-// The engine-side stamps (check/transform/execute) require the notifier to
-// have been built with core.WithServerSpans(tr).
-func (n *Notifier) TraceSpans(tr *span.Tracer) {
-	n.mu.Lock()
-	for _, p := range n.peers {
-		p.snd.SetTracer(tr)
-	}
-	n.mu.Unlock()
-	n.spans.Store(tr)
+	return &Notifier{mgr: mgr, svc: server.Serve(ln, mgr), sess: sess}, nil
 }
 
 // String summarizes the notifier for status logs.
 func (n *Notifier) String() string {
-	n.mu.Lock()
-	sites := len(n.srv.Sites())
-	doc := n.srv.DocLen()
-	hb := n.srv.History().Len()
-	words := n.srv.History().ClockWords()
-	n.mu.Unlock()
-	return fmt.Sprintf("notifier addr=%s sites=%d doc_runes=%d hb_len=%d clock_words=%d queue_highwater=%d",
-		n.ln.Addr(), sites, doc, hb, words, n.QueueHighWater())
+	st := n.sess.Stats()
+	return fmt.Sprintf("notifier addr=%s sites=%d ops=%d doc_runes=%d queue_highwater=%d",
+		n.Addr(), st.Sites, st.Ops, st.Doc, n.QueueHighWater())
 }
 
 // Addr returns the listener's address.
-func (n *Notifier) Addr() string { return n.ln.Addr() }
+func (n *Notifier) Addr() string { return n.svc.Addr() }
 
 // Text returns the notifier's current copy of the document.
-func (n *Notifier) Text() string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.srv.Text()
-}
+func (n *Notifier) Text() string { return n.sess.Text() }
 
 // Sites returns the ids of currently joined sites.
-func (n *Notifier) Sites() []int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.srv.Sites()
-}
+func (n *Notifier) Sites() []int { return n.sess.Sites() }
 
 // Counts reports, per joined site, how many operations the notifier has
 // received from it and sent to it. Tests use this to detect quiescence
 // exactly instead of sleeping.
-func (n *Notifier) Counts() (received, sent map[int]uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	received = make(map[int]uint64)
-	sent = make(map[int]uint64)
-	for _, site := range n.srv.Sites() {
-		received[site] = n.srv.SV().Of(site)
-		sent[site] = n.srv.SentTo(site)
-	}
-	return received, sent
-}
-
-// Close shuts the service down: stops accepting, closes every connection,
-// and waits for the connection handlers to finish.
-func (n *Notifier) Close() error {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return nil
-	}
-	n.closed = true
-	peers := make([]*peer, 0, len(n.peers))
-	for _, p := range n.peers {
-		peers = append(peers, p)
-	}
-	n.mu.Unlock()
-
-	_ = n.ln.Close()
-	for _, p := range peers {
-		_ = p.conn.Close()
-	}
-	n.wg.Wait()
-	// Teardown order matters: retiring dispatched connections runs their
-	// finish hooks, which close senders, which need the writer pool to
-	// drain — so the pool goes down last.
-	if n.disp != nil {
-		n.disp.Close()
-	}
-	if n.pool != nil {
-		n.pool.Close()
-	}
-	if n.jw != nil {
-		return n.jw.Close()
-	}
-	return nil
-}
-
-func (n *Notifier) acceptLoop() {
-	defer n.wg.Done()
-	for {
-		conn, err := n.ln.Accept()
-		if err != nil {
-			return
-		}
-		if n.disp != nil {
-			if ec, ok := conn.(transport.EventConn); ok {
-				// Event path: no goroutine. The dispatcher steps the
-				// connection's state machine per inbound message; the join
-				// request arrives as the first dispatched message.
-				cs := &ntfConnState{n: n, conn: conn}
-				if n.disp.Add(ec, cs.handleMsg, cs.finish) {
-					continue
-				}
-				// Dispatcher already closed: fall through to the dedicated
-				// reader, which fails fast on the closed notifier.
-			}
-		}
-		n.wg.Add(1)
-		go n.handle(conn)
-	}
-}
-
-// ntfConnState is one event-dispatched connection's protocol state, stepped
-// by dispatcher workers (never concurrently for the same conn, in delivery
-// order — preserving the per-link FIFO the paper's channels assume).
-type ntfConnState struct {
-	n    *Notifier
-	conn transport.Conn
-
-	admitted bool
-	site     int
-	p        *peer
-}
-
-// handleMsg processes one inbound message; returning false retires the
-// connection (the dispatcher then runs finish exactly once).
-func (cs *ntfConnState) handleMsg(m wire.Msg) bool {
-	if !cs.admitted {
-		site, p, err := cs.n.admitMsg(cs.conn, m)
-		if err != nil {
-			return false
-		}
-		cs.admitted = true
-		cs.site, cs.p = site, p
-		return true
-	}
-	switch v := m.(type) {
-	case wire.ClientOp:
-		if v.From != cs.site || cs.p.readOnly {
-			return false // impersonation, or an op from a viewer
-		}
-		if tr := cs.n.spans.Load(); tr.Enabled() {
-			v.Trace = tr.Arrival(v.Trace, v.Ref.Site, v.Ref.Seq, connWakeNs(cs.conn))
-		}
-		return cs.n.receive(v) == nil
-	case wire.Presence:
-		if v.From != cs.site {
-			return false
-		}
-		return cs.n.relayPresence(v) == nil
-	case wire.Leave:
-		return false
-	default:
-		return false // protocol violation
-	}
-}
-
-// finish is the dispatcher's exactly-once teardown hook — the event-path
-// equivalent of handle's defers.
-func (cs *ntfConnState) finish() {
-	if cs.admitted {
-		n := cs.n
-		n.mu.Lock()
-		if _, ok := n.peers[cs.site]; ok {
-			delete(n.peers, cs.site)
-			_ = n.srv.Leave(cs.site)
-			if n.jw != nil {
-				_ = n.jw.Append(journal.Record{Kind: journal.KLeave, Site: cs.site})
-			}
-		}
-		n.mu.Unlock()
-		cs.p.snd.Close()
-	}
-	_ = cs.conn.Close()
-}
-
-// handle runs one connection: join handshake, then the operation loop.
-func (n *Notifier) handle(conn transport.Conn) {
-	defer n.wg.Done()
-	site, p, err := n.admit(conn)
-	if err != nil {
-		_ = conn.Close()
-		return
-	}
-	defer func() {
-		n.mu.Lock()
-		if _, ok := n.peers[site]; ok {
-			delete(n.peers, site)
-			_ = n.srv.Leave(site)
-			if n.jw != nil {
-				_ = n.jw.Append(journal.Record{Kind: journal.KLeave, Site: site})
-			}
-		}
-		n.mu.Unlock()
-		p.snd.Close()
-		_ = conn.Close()
-	}()
-	for {
-		m, err := conn.Recv()
-		if err != nil {
-			return
-		}
-		switch v := m.(type) {
-		case wire.ClientOp:
-			if v.From != site || p.readOnly {
-				return // impersonation, or an op from a viewer
-			}
-			if tr := n.spans.Load(); tr.Enabled() {
-				v.Trace = tr.Arrival(v.Trace, v.Ref.Site, v.Ref.Seq, connWakeNs(conn))
-			}
-			if err := n.receive(v); err != nil {
-				return
-			}
-		case wire.Presence:
-			if v.From != site {
-				return
-			}
-			if err := n.relayPresence(v); err != nil {
-				return
-			}
-		case wire.Leave:
-			return
-		default:
-			return // protocol violation
-		}
-	}
-}
-
-// admit performs the join handshake on a fresh connection. The snapshot is
-// enqueued while the registration lock is held, so it precedes any
-// broadcast to the new site.
-func (n *Notifier) admit(conn transport.Conn) (int, *peer, error) {
-	m, err := conn.Recv()
-	if err != nil {
-		return 0, nil, err
-	}
-	return n.admitMsg(conn, m)
-}
-
-// admitMsg is admit with the opening message already received — the event
-// path gets it from the dispatcher instead of a blocking Recv.
-func (n *Notifier) admitMsg(conn transport.Conn, m wire.Msg) (int, *peer, error) {
-	req, ok := m.(wire.JoinReq)
-	if !ok {
-		return 0, nil, fmt.Errorf("repro: expected join, got %T", m)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed {
-		return 0, nil, ErrClosed
-	}
-	site := req.Site
-	if site <= 0 {
-		site = n.nextSite
-	}
-	for {
-		if _, taken := n.peers[site]; !taken {
-			break
-		}
-		site++
-	}
-	if site >= n.nextSite {
-		n.nextSite = site + 1
-	}
-	snap, err := n.srv.Join(site)
-	if err != nil {
-		return 0, nil, err
-	}
-	if n.jw != nil {
-		if err := n.jw.Append(journal.Record{Kind: journal.KJoin, Site: site}); err != nil {
-			_ = n.srv.Leave(site)
-			return 0, nil, err
-		}
-	}
-	p := &peer{conn: conn, snd: transport.NewPooledSender(conn, ErrClosed, n.pool), readOnly: req.ReadOnly}
-	if n.queueHist != nil {
-		p.snd.SetQueueHistogram(n.queueHist)
-	}
-	if tr := n.spans.Load(); tr != nil {
-		p.snd.SetTracer(tr)
-	}
-	n.peers[site] = p
-	if err := p.snd.Enqueue(wire.JoinResp{Site: snap.Site, Text: snap.Text, LocalOps: snap.LocalOps}); err != nil {
-		delete(n.peers, site)
-		_ = n.srv.Leave(site)
-		return 0, nil, err
-	}
-	return site, p, nil
-}
-
-// relayPresence re-coordinates a presence report and fans it out. Presence
-// is ephemeral: it is never journaled.
-func (n *Notifier) relayPresence(m wire.Presence) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	outs, err := n.srv.RelayPresence(core.PresenceMsg{
-		From: m.From, TS: m.TS, Anchor: m.Anchor, Head: m.Head, Active: m.Active,
-	})
-	if err != nil {
-		return err
-	}
-	for _, o := range outs {
-		p, ok := n.peers[o.To]
-		if !ok {
-			continue
-		}
-		_ = p.snd.Enqueue(wire.ServerPresence{
-			To: o.To, From: o.From, Anchor: o.Anchor, Head: o.Head, Active: o.Active,
-		})
-	}
-	return nil
-}
-
-// receive integrates one client operation and fans the broadcasts out.
-func (n *Notifier) receive(m wire.ClientOp) error {
-	if h := n.recvNs.Load(); h != nil {
-		// Histogram recording is lock-free, so the deferred observation under
-		// n.mu is safe; it covers lock wait, formula (7), transformation,
-		// execution, and fan-out enqueue.
-		defer h.Since(time.Now())
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	cm := core.ClientMsg{From: m.From, Op: m.Op, TS: m.TS, Ref: m.Ref, Trace: m.Trace}
-	if n.jw != nil {
-		// Write-ahead between validation and application: only operations
-		// the engine will accept are journaled, and they are durable before
-		// any effect (or broadcast) exists.
-		if err := n.srv.Precheck(cm); err != nil {
-			return err
-		}
-		if err := n.jw.Append(journal.Record{Kind: journal.KClientOp, Op: m}); err != nil {
-			return err
-		}
-	}
-	bcast, _, err := n.srv.Receive(cm)
-	if err != nil {
-		return err
-	}
-	if len(bcast) == 0 {
-		return nil
-	}
-	// Encode-once fan-out: every destination shares the same refs and
-	// operation (only To and the 2-integer timestamp differ — §3.3), so the
-	// body is serialized exactly once and each sender writes its own head.
-	bc, err := wire.NewBroadcast(bcast[0].Ref, bcast[0].OrigRef, bcast[0].Op)
-	if err != nil {
-		return err
-	}
-	bc.Trace = bcast[0].Trace
-	// A broken peer's own handler cleans it up; its failure must not abort
-	// everyone else's broadcast — EnqueueBroadcast errors are ignored on
-	// both paths. The scratch scatters the enqueues across the writer
-	// pool's ring shards at large fan-outs (DESIGN.md §18); with no pool or
-	// below the threshold it walks the same serial loop as always.
-	for _, bm := range bcast {
-		p, ok := n.peers[bm.To]
-		if !ok {
-			continue
-		}
-		n.fanout.Add(p.snd, bm.To, bm.TS)
-	}
-	n.fanout.Broadcast(bc, n.fanoutThr) // consumes bc
-	n.fanout.Reset()
-	n.spans.Load().Stamp(cm.Trace, span.StageBcastEnqueue)
-	return nil
-}
-
-// connWakeNs reports when the platform poller saw conn become readable
-// (netpoll's pollConn implements the probe), or 0 when the transport cannot
-// say — the poll_wake stage is then simply absent from the span.
-func connWakeNs(c transport.Conn) int64 {
-	if w, ok := c.(interface{ TraceWakeNs() int64 }); ok {
-		return w.TraceWakeNs()
-	}
-	return 0
-}
+func (n *Notifier) Counts() (received, sent map[int]uint64) { return n.sess.Counts() }
 
 // QueueHighWater reports the deepest any peer's outbound queue has been —
 // how much backpressure the slowest connected client has exerted.
-func (n *Notifier) QueueHighWater() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	var hw int
-	for _, p := range n.peers {
-		if d := p.snd.HighWater(); d > hw {
-			hw = d
-		}
-	}
-	return hw
+func (n *Notifier) QueueHighWater() int { return n.svc.QueueHighWater() }
+
+// Close shuts the service down: stops accepting, closes every connection,
+// waits for the connection handlers to finish (their departures are the last
+// journal records), then stops the session and closes its journal, whose
+// close error it returns.
+func (n *Notifier) Close() error {
+	_ = n.svc.Close()
+	return n.mgr.Close()
 }

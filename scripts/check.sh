@@ -35,8 +35,8 @@ go run ./cmd/cvclint -budget
 step "go test ./..."
 go test ./...
 
-step "go test -race (engine, op, wire, transport, netpoll, server, obs, sim, root)"
-go test -race ./internal/core ./internal/op ./internal/wire ./internal/transport ./internal/transport/netpoll ./internal/server ./internal/obs ./internal/sim .
+step "go test -race (scripts/race.sh: engine, op, wire, transport, netpoll, server, obs, sim, root)"
+bash scripts/race.sh
 
 # The observability fast paths must stay allocation-free: a single alloc per
 # Record would show up on every integrated operation once -debug is on.
@@ -52,26 +52,41 @@ go test ./internal/obs/span -run='^TestFastPathAllocFree$' -count=1
 # E14: with sampling on, the full 13-stage table must materialize over
 # loopback TCP — every stage histogram sees exactly one delta per op — in
 # BOTH scheduling layouts: the single-ring/single-instance reference
-# (E14_SHARDS=1) and the sharded rings + multi-shard epoll + parallel
-# fan-out layout (E14_SHARDS=4, DESIGN.md §18).
+# (E14_SHARDS=1: one pooled writer, one dispatch worker, one epoll instance)
+# and the sharded layout (E14_SHARDS=4: four of each, one ready-ring shard
+# per worker, and parallel fan-out since 128 destinations clear
+# transport.DefaultFanoutThreshold; DESIGN.md §18).
 step "E14 stage-breakdown smoke (shards=1)"
 E14_SHARDS=1 go test . -run='^TestE14StageBreakdown$' -count=1 -short
 
 step "E14 stage-breakdown smoke (shards=4)"
 E14_SHARDS=4 go test . -run='^TestE14StageBreakdown$' -count=1 -short
 
-# The E13 capacity claim: 1000 idle connections on the lean layer (writer
-# pool + event dispatch + idle dehydration) must cost O(pool) goroutines,
-# and live traffic must still flow with the idle fleet attached.
+# The E13 capacity claim: 1000 idle connections on the lean layer
+# (server.Serve with WithWriterPool + WithEventDispatch, idle dehydration on
+# the manager) must cost O(pool) goroutines, and live traffic must still flow
+# with the idle fleet attached.
 step "E13 goroutine-lean smoke (1k idle conns)"
 go test . -run='^TestE13GoroutineLean$' -count=1
 
 # The TCP legs of E13: idle fleets over the epoll poller (where available)
 # and over the dedicated-reader fallback must both pass the same gates, so
 # -poller=off deployments keep the capacity claim they had before the poller.
-step "E13 poller + fallback smoke"
-go test . -run='^(TestE13PollerTCP|TestPollerFallback|TestChaosPollerTCP|TestChaosPollerTCPSharded)$' -count=1
+# The chaos churn runs on the same lean Service: mem, epoll, and epoll with
+# four shards and a parallel fan-out engaged by 16 attached idle replicas.
+step "E13 poller + fallback smoke, lean-layout chaos"
+go test . -run='^(TestE13PollerTCP|TestPollerFallback|TestChaosLeanNotifier|TestChaosPollerTCP|TestChaosPollerTCPSharded)$' -count=1
 
+# One connection state machine, three readers: every protocol rule and both
+# link-ordering guarantees on {dedicated reader, mem dispatcher, epoll
+# dispatcher}, and the crash schedule on the journaled lean server.
+step "protocol conformance + crash-restart on the unified server"
+go test ./internal/server -run='^(TestProtocolConformance|TestLinkOrdering|TestCrashRestartFromJournals|TestWriteAheadDiscipline|TestRecoveredSessionAssignsFreshSiteIds)$' -count=1
+
+# The repository's benchmark (BENCHMARK.json → bash bench/run.sh) runs at
+# 1/100 scale inside `go test ./...` above (bench/bench_test.go); a full run
+# is `go run ./bench`, a comparison of two `go run ./bench -compare a b`.
+# What follows is the older microbenchmark trajectory, BENCH_notifier.json.
 step "bench smoke (benchtime=10x)"
 BENCHTIME=10x bash scripts/bench.sh /tmp/bench_smoke.$$.json >/dev/null 2>&1 \
 	|| { echo "bench smoke failed" >&2; exit 1; }
