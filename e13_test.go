@@ -216,7 +216,18 @@ func TestPollerFallback(t *testing.T) {
 	addr := ln.Addr()
 	dial := func() (transport.Conn, error) { return transport.DialTCP(addr) }
 
+	// The lower bound below is exact, so the baseline must not count a
+	// goroutine an earlier test left winding down: wait for the count to hold
+	// still before taking it.
 	g0 := runtime.NumGoroutine()
+	for settle := time.Now().Add(time.Second); time.Now().Before(settle); {
+		time.Sleep(10 * time.Millisecond)
+		g := runtime.NumGoroutine()
+		if g == g0 {
+			break
+		}
+		g0 = g
+	}
 	held := make([]transport.Conn, 0, conns)
 	defer func() {
 		for _, c := range held {

@@ -21,13 +21,15 @@ import (
 // What is captured: mode, the generation counter, the full state vector
 // SV_0, the document text, the history buffer (dropped count, tail vector,
 // entries), and every client record (join state, baseline, sent/acked
-// counters, bridge). What is deliberately not: the composed-suffix caches
-// (comp/unfolded/compHold) — Checkpoint first settles any deferred folds, so
-// the individual bridge entries are current and the caches can be dropped
-// and rebuilt cold after restore — and the derived history-buffer state
-// (counts, byOrigin, tailSum), recomputed on restore from the entries and
-// tail. Settling mutates the engine, but only into an equivalent state the
-// pairwise path would have reached anyway.
+// counters, and — behind a flag, only for a site caught mid-transformation —
+// its materialised bridge; a derived bridge is already in the history
+// entries and costs one byte). What is deliberately not: the
+// composed-suffix caches (comp/unfolded/compHold) — Checkpoint first settles
+// any deferred folds, so the individual bridge entries are current and the
+// caches can be dropped and rebuilt cold after restore — and the derived
+// history-buffer state (counts, byOrigin, tailSum), recomputed on restore
+// from the entries and tail. Settling mutates the engine, but only into an
+// equivalent state the pairwise path would have reached anyway.
 //
 // The encoding is deterministic (clients sorted by site, canonical op
 // forms), so Checkpoint∘RestoreServer is byte-identical — the property
@@ -83,12 +85,16 @@ func (s *Server) Checkpoint() ([]byte, error) {
 		b = binary.AppendUvarint(b, st.baseline)
 		b = binary.AppendUvarint(b, st.sent)
 		b = binary.AppendUvarint(b, st.acked)
-		b = binary.AppendUvarint(b, uint64(len(st.bridge)))
+		// A materialised bridge is entries acked+1 … sent, so neither a
+		// count nor the indices travel.
+		if len(st.bridge) == 0 {
+			b = append(b, 0)
+			continue
+		}
+		b = append(b, 1)
 		for i := range st.bridge {
-			br := &st.bridge[i]
-			b = binary.AppendUvarint(b, br.seq)
-			b = appendRef(b, br.ref)
-			b = appendOp(b, br.op)
+			b = appendRef(b, st.bridge[i].ref)
+			b = appendOp(b, st.bridge[i].op)
 		}
 	}
 	return b, nil
@@ -159,15 +165,18 @@ func RestoreServer(data []byte, opts ...ServerOption) (*Server, error) {
 		st.baseline = d.uvarint()
 		st.sent = d.uvarint()
 		st.acked = d.uvarint()
-		nBridge := int(d.uvarint())
-		if d.err == nil && nBridge > len(d.b) {
-			return nil, fmt.Errorf("core: restore: %d bridge ops in %d bytes: %w", nBridge, len(d.b), ErrBadCheckpoint)
-		}
-		for j := 0; j < nBridge && d.err == nil; j++ {
-			br := bridgeOp{seq: d.uvarint()}
-			br.ref = d.ref()
-			br.op = d.op()
-			st.bridge = append(st.bridge, br)
+		switch d.byte() {
+		case 0: // derived: the pending set is read off the history entries
+		case 1:
+			nBridge := st.sent - st.acked
+			if d.err == nil && (nBridge == 0 || nBridge > uint64(len(d.b))) {
+				return nil, fmt.Errorf("core: restore: %d bridge ops in %d bytes: %w", nBridge, len(d.b), ErrBadCheckpoint)
+			}
+			for seq := st.acked + 1; seq <= st.sent && d.err == nil; seq++ {
+				st.bridge = append(st.bridge, bridgeOp{seq: seq, ref: d.ref(), op: d.op()})
+			}
+		default:
+			d.fail()
 		}
 		s.clients[site] = st
 	}
@@ -192,7 +201,7 @@ var ErrBadCheckpoint = fmt.Errorf("core: bad checkpoint")
 // ckptVersion allows the format to evolve.
 const (
 	ckptMagic   = "cvckpt"
-	ckptVersion = 1
+	ckptVersion = 2
 )
 
 func appendVC(b []byte, v vclock.VC) []byte {

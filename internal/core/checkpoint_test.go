@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -41,13 +40,16 @@ func (h *ckptHarness) deliverSome(t *testing.T, rng *rand.Rand) {
 }
 
 // ckptScriptServer drives a server through a deterministic multi-site
-// workload with lagging acknowledgements and returns it mid-session.
+// workload with lagging acknowledgements and returns it mid-session. Sites
+// 1–4 write; 5 and 6 only read, so a checkpoint sees both forms of bridge:
+// writers caught mid-transformation hold a materialised copy, the silent
+// sites' pending broadcasts exist only as history entries.
 func ckptScriptServer(t *testing.T, seed int64, steps int, opts ...ServerOption) (*Server, *ckptHarness) {
 	t.Helper()
 	s := NewServer("the quick brown fox", opts...)
 	rng := rand.New(rand.NewSource(seed))
 	h := &ckptHarness{clients: make(map[int]*Client), inbox: make(map[int][]ServerMsg)}
-	for site := 1; site <= 4; site++ {
+	for site := 1; site <= 6; site++ {
 		snap, err := s.Join(site)
 		if err != nil {
 			t.Fatal(err)
@@ -80,7 +82,39 @@ func ckptScriptServer(t *testing.T, seed int64, steps int, opts ...ServerOption)
 		h.enqueue(msgs)
 		h.deliverSome(t, rng)
 	}
+	// Leave at least one writer mid-transformation: one with broadcasts still
+	// in flight toward it edits once more.
+	for site := 1; site <= 4; site++ {
+		if len(h.inbox[site]) == 0 {
+			continue
+		}
+		cm, err := h.clients[site].Insert(0, "!")
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs, _, err := s.Receive(cm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.enqueue(msgs)
+		break
+	}
 	return s, h
+}
+
+// bridgeForms counts the joined sites whose bridge is materialised and those
+// with pending broadcasts held only in derived form.
+func bridgeForms(s *Server) (materialised, derived int) {
+	for _, st := range s.clients {
+		switch {
+		case !st.joined:
+		case len(st.bridge) > 0:
+			materialised++
+		case st.sent > st.acked:
+			derived++
+		}
+	}
+	return materialised, derived
 }
 
 func minCk(a, b int) int {
@@ -96,6 +130,9 @@ func minCk(a, b int) int {
 func TestCheckpointByteIdentity(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		s, _ := ckptScriptServer(t, seed, 120)
+		if m, d := bridgeForms(s); m == 0 || d == 0 {
+			t.Fatalf("seed %d: %d materialised and %d derived bridges at checkpoint, want both", seed, m, d)
+		}
 		cp, err := s.Checkpoint()
 		if err != nil {
 			t.Fatal(err)
@@ -103,6 +140,12 @@ func TestCheckpointByteIdentity(t *testing.T) {
 		r, err := RestoreServer(cp)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if m, d := bridgeForms(s); m == 0 || d == 0 {
+			t.Fatalf("seed %d: checkpointing left %d materialised and %d derived bridges", seed, m, d)
+		}
+		if err := r.checkInvariants(); err != nil {
+			t.Fatalf("seed %d: restored engine: %v", seed, err)
 		}
 		cp2, err := r.Checkpoint()
 		if err != nil {
@@ -121,6 +164,9 @@ func TestCheckpointByteIdentity(t *testing.T) {
 func TestCheckpointContinuation(t *testing.T) {
 	for seed := int64(10); seed <= 13; seed++ {
 		s, h := ckptScriptServer(t, seed, 150)
+		if m, d := bridgeForms(s); m == 0 || d == 0 {
+			t.Fatalf("seed %d: %d materialised and %d derived bridges at checkpoint, want both", seed, m, d)
+		}
 		cp, err := s.Checkpoint()
 		if err != nil {
 			t.Fatal(err)
@@ -270,26 +316,31 @@ func TestCheckpointRelayMode(t *testing.T) {
 }
 
 // TestCheckpointSizeIsCompact sanity-checks the dehydration win: a parked
-// session's bytes are on the order of the document plus the live bridges,
-// not the engine's in-memory footprint.
+// session's bytes are on the order of the document plus the history buffer
+// plus the bridges caught materialised — not the engine's in-memory
+// footprint, and not one copy of the history per lagging site.
 func TestCheckpointSizeIsCompact(t *testing.T) {
 	s, _ := ckptScriptServer(t, 99, 200)
 	cp, err := s.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	bridgeOps := 0
-	for _, site := range s.Sites() {
-		bridgeOps += s.BridgeLen(site)
+	pending, stored := 0, 0
+	for site, st := range s.clients {
+		pending += s.BridgeLen(site)
+		stored += len(st.bridge)
 	}
-	// Loose ceiling: doc bytes + ~64 bytes per live op (HB + bridges) + a
-	// fixed header. Tightening it is fine; regressing past it means the
-	// format grew something per-entry it should not have.
-	limit := len(s.Text()) + 64*(s.History().Len()+bridgeOps) + 256
+	if stored == 0 || stored*2 > pending {
+		t.Fatalf("%d of %d pending broadcasts are materialised; the script should leave most of them derived", stored, pending)
+	}
+	// Loose ceiling: doc bytes + ~64 bytes per stored op (HB + materialised
+	// bridges) + a fixed header. Tightening it is fine; regressing past it
+	// means the format grew something per-entry it should not have.
+	limit := len(s.Text()) + 64*(s.History().Len()+stored) + 256
 	if len(cp) > limit {
-		t.Fatalf("checkpoint %d bytes exceeds ceiling %d (doc=%d hb=%d bridges=%d)",
-			len(cp), limit, len(s.Text()), s.History().Len(), bridgeOps)
+		t.Fatalf("checkpoint %d bytes exceeds ceiling %d (doc=%d hb=%d materialised=%d)",
+			len(cp), limit, len(s.Text()), s.History().Len(), stored)
 	}
-	t.Log(fmt.Sprintf("checkpoint: %d bytes (doc=%d, hb=%d entries, bridges=%d ops)",
-		len(cp), len(s.Text()), s.History().Len(), bridgeOps))
+	t.Logf("checkpoint: %d bytes (doc=%d, hb=%d entries, %d of %d pending broadcasts materialised)",
+		len(cp), len(s.Text()), s.History().Len(), stored, pending)
 }

@@ -18,13 +18,37 @@ func (c *Client) PendingSeqs() []uint64 {
 // BridgeRefs exposes the refs of the unacknowledged broadcasts toward site,
 // for the concurrent-set ≡ bridge-set cross-validation.
 func (s *Server) BridgeRefs(site int) []causal.OpRef {
+	var out []causal.OpRef
+	for _, b := range s.bridgeOf(site) {
+		out = append(out, b.ref)
+	}
+	return out
+}
+
+// bridgeOf returns site's pending broadcasts in whichever form the engine
+// holds them: the materialised copy, or the history-buffer suffix it stands
+// for.
+func (s *Server) bridgeOf(site int) []bridgeOp {
 	st, ok := s.clients[site]
-	if !ok {
+	if !ok || !st.joined {
 		return nil
 	}
-	out := make([]causal.OpRef, len(st.bridge))
-	for i, b := range st.bridge {
-		out[i] = b.ref
+	if len(st.bridge) > 0 {
+		return st.bridge
+	}
+	var out []bridgeOp
+	s.hb.Pending(site, st.acked, st.baseline, func(seq uint64, e *ServerEntry) {
+		out = append(out, bridgeOp{seq: seq, op: e.Op, ref: e.Ref})
+	})
+	return out
+}
+
+// liveDests builds the join-cache form ServerHB.Compact takes from the
+// acked/baseline maps the standalone buffer tests keep.
+func liveDests(acked, baselines map[int]uint64) []destRef {
+	var out []destRef
+	for site, a := range acked {
+		out = append(out, destRef{site: site, st: &clientState{joined: true, acked: a, baseline: baselines[site]}})
 	}
 	return out
 }

@@ -48,13 +48,17 @@ func newFuzzWorld(t *testing.T, n int, composeDepth, compactEvery int) *fuzzWorl
 func FuzzIntegrateEquivalence(f *testing.F) {
 	// Seeds: quiet session, generate-heavy burst, lagged-site catch-up
 	// (generate many at one site before any delivery), mixed interleavings,
-	// and delete-dense traffic that exercises the ComposedTransformSafe
-	// fallback.
+	// delete-dense traffic that exercises the ComposedTransformSafe
+	// fallback, and two writers racing beside a silent third site, whose
+	// bridges go derived → materialised → derived while its own never leaves
+	// the history buffer.
 	f.Add([]byte{2})
 	f.Add([]byte{3, 0x00, 0x10, 0x04, 0x21, 0x01, 0x00, 0x02, 0x00})
 	f.Add([]byte{2, 0x00, 0x05, 0x00, 0x45, 0x00, 0x85, 0x00, 0xc5, 0x01, 0x00, 0x01, 0x00, 0x02, 0x00, 0x02, 0x00})
 	f.Add(bytes.Repeat([]byte{0x00, 0x97, 0x04, 0xd3, 0x01, 0x00, 0x02, 0x01, 0x06, 0x44}, 12))
 	f.Add(bytes.Repeat([]byte{0x00, 0xff, 0x04, 0xfe, 0x08, 0xfd, 0x01, 0x00, 0x05, 0x00, 0x02, 0x00, 0x06, 0x00}, 8))
+	f.Add(silentThirdSite)
+	f.Add(append([]byte{2}, silentThirdSite[1:]...)) // the same beside two silent sites
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 512 {
 			t.Skip()
@@ -106,6 +110,20 @@ func FuzzIntegrateEquivalence(f *testing.F) {
 		}
 	})
 }
+
+// silentThirdSite is a three-site schedule in which sites 1 and 2 generate
+// concurrently and drain, round after round, while site 3 only ever reads:
+// each writer's bridge is materialised by its racing operation and returns
+// to the derived form when its next one acknowledges everything.
+var silentThirdSite = append([]byte{1}, bytes.Repeat([]byte{
+	0x00, 0x13, 0x04, 0x2e, // sites 1 and 2 generate concurrently
+	0x01, 0x00, 0x05, 0x00, // the notifier takes both: site 2's races site 1's
+	0x00, 0xa7, 0x01, 0x00, // site 1 again, still unaware of site 2's
+	0x02, 0x00, 0x06, 0x00, 0x06, 0x00, 0x0a, 0x00, // broadcasts drain, site 3 lags
+	0x04, 0x41, 0x05, 0x00, // site 2 has seen everything: its bridge empties
+	0x02, 0x00, 0x00, 0x5c, 0x01, 0x00, // and so has site 1
+	0x06, 0x00, 0x06, 0x00, 0x0a, 0x00, 0x0a, 0x00,
+}, 6)...)
 
 // fuzzGenerate builds one deterministic local operation from arg and queues
 // it toward the server; both worlds derive the identical op because their
@@ -269,13 +287,27 @@ func TestIntegrateEquivalenceSeeds(t *testing.T) {
 	schedules := [][]byte{
 		lagged,
 		bytes.Repeat([]byte{0x00, 0x9b, 0x04, 0xa1, 0x01, 0x00, 0x02, 0x00, 0x06, 0x00}, 30),
+		silentThirdSite,
 	}
 	for i, data := range schedules {
 		t.Run(fmt.Sprintf("schedule=%d", i), func(t *testing.T) {
 			n := 2 + int(data[0])%3
 			fast := newFuzzWorld(t, n, 1, 2)
 			naive := newFuzzWorld(t, n, 0, 2)
+			// Per site, how often the fast world's notifier materialised
+			// the bridge and how often it dropped it again.
+			materialised, dropped, was := map[int]int{}, map[int]int{}, map[int]bool{}
 			for j, step := 1, 0; j+1 < len(data); j += 2 {
+				for site, st := range fast.srv.clients {
+					now := len(st.bridge) > 0
+					switch {
+					case now && !was[site]:
+						materialised[site]++
+					case was[site] && !now:
+						dropped[site]++
+					}
+					was[site] = now
+				}
 				code, arg := data[j], data[j+1]
 				site := 1 + int(code>>2)%n
 				step++
@@ -292,6 +324,17 @@ func TestIntegrateEquivalenceSeeds(t *testing.T) {
 			}
 			fuzzDrain(t, fast, naive)
 			fuzzCompareWorlds(t, fast, naive, -1)
+			if i == 2 {
+				for _, site := range []int{1, 2} {
+					if materialised[site] < 6 || dropped[site] < 6 {
+						t.Errorf("writer %d: bridge materialised %d times and dropped %d, want 6 rounds of each",
+							site, materialised[site], dropped[site])
+					}
+				}
+				if materialised[3] != 0 {
+					t.Errorf("silent site 3: bridge materialised %d times", materialised[3])
+				}
+			}
 		})
 	}
 }

@@ -380,6 +380,36 @@ func (h *ServerHB) Boundary(ta Timestamp, x int, baselineX uint64) int {
 	})
 }
 
+// Pending calls visit, oldest first, with every buffered entry whose
+// broadcast index toward site x exceeds acked, together with that index —
+// formula (7)'s concurrent set for an arrival from x stamped T1 = acked, which
+// is exactly x's bridge (DESIGN.md §4). The walk starts at Boundary and skips
+// x's own operations interleaved into the suffix; the first index comes from
+// the delta invariant (Σ_{j≠x} TS_i[j] − baselineX, one search into
+// byOrigin[x]) and each later pending entry is the next broadcast toward x.
+// visit must treat the entry as read-only.
+func (h *ServerHB) Pending(x int, acked, baselineX uint64, visit func(seq uint64, e *ServerEntry)) {
+	i := h.Boundary(Timestamp{T1: acked}, x, baselineX)
+	if i == len(h.entries) {
+		return
+	}
+	var tsx uint64 // TS_i[x]: the tail count less x's operations after entry i
+	if x >= 0 && x < len(h.tail) {
+		tsx = h.tail[x]
+	}
+	if x >= 0 && x < len(h.byOrigin) {
+		xs, abs := h.byOrigin[x], h.dropped+i
+		tsx -= uint64(len(xs) - sort.Search(len(xs), func(j int) bool { return xs[j] > abs }))
+	}
+	seq := h.Sum(i) - tsx - baselineX
+	for ; i < len(h.entries); i++ {
+		if e := &h.entries[i]; e.Origin != x {
+			visit(seq, e)
+			seq++
+		}
+	}
+}
+
 // checkArrival runs the simplified server check (formula 7) of an operation
 // newly arrived from site x (timestamp ta, join baseline baselineX) against
 // the buffer and returns the number of concurrent entries. With a nil visit
@@ -446,27 +476,28 @@ func (h *ServerHB) ConcurrentWith(ta Timestamp, x int, baselineX uint64) []Serve
 // Compact garbage-collects entries no future arrival can be concurrent
 // with. An entry from origin y is needed while some *other* site x has
 // acknowledged fewer broadcasts than the entry's broadcast index toward x
-// (Σ_{j≠x} TS[j] − baseline_x). acked maps live site → highest T1 it has
-// sent; baselines maps site → its join baseline. It returns the number of
-// entries removed. Only a prefix is collected — the HB stays a suffix of the
+// (Σ_{j≠x} TS[j] − baseline_x) — while it is still in x's bridge. live lists
+// the joined sites (the notifier's join cache); each contributes the highest
+// T1 it has sent and its join baseline. It returns the number of entries
+// removed. Only a prefix is collected — the HB stays a suffix of the
 // execution order.
-func (h *ServerHB) Compact(acked map[int]uint64, baselines map[int]uint64) int {
+func (h *ServerHB) Compact(live []destRef) int {
 	n := len(h.entries)
-	if n == 0 || len(acked) == 0 {
+	if n == 0 || len(live) == 0 {
 		return 0
 	}
 	// Precompute per-site retention state once: the threshold below which a
 	// broadcast index is already covered (baseline + acked, since
 	// se > b && se−b > a  ⟺  se > b+a for unsigned a), and the site's
-	// TS[x] before the oldest entry. The per-entry loop then touches a
-	// small slice instead of re-iterating a map in nondeterministic order.
+	// TS[x] before the oldest entry.
 	type retention struct {
-		site   int
-		thr    uint64 // baseline + acked broadcasts
-		tsx    uint64 // running TS_i[site], advanced as entries pass
+		site int
+		thr  uint64 // baseline + acked broadcasts
+		tsx  uint64 // running TS_i[site], advanced as entries pass
 	}
-	sites := make([]retention, 0, len(acked))
-	for x, a := range acked {
+	sites := make([]retention, 0, len(live))
+	for _, d := range live {
+		x := d.site
 		var tailX, totalX uint64
 		if x >= 0 && x < len(h.tail) {
 			tailX = h.tail[x]
@@ -474,7 +505,7 @@ func (h *ServerHB) Compact(acked map[int]uint64, baselines map[int]uint64) int {
 		if x >= 0 && x < len(h.counts) {
 			totalX = h.counts[x]
 		}
-		sites = append(sites, retention{site: x, thr: baselines[x] + a, tsx: tailX - totalX})
+		sites = append(sites, retention{site: x, thr: d.st.baseline + d.st.acked, tsx: tailX - totalX})
 	}
 	sum := h.tailSum - uint64(n-1)
 	cut := 0

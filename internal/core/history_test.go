@@ -324,7 +324,7 @@ func TestServerHBBoundaryEdgeCases(t *testing.T) {
 		// working against the dropped offset.
 		acked := map[int]uint64{1: 2, 2: 2, 3: 2}
 		baselines := map[int]uint64{1: 0, 2: 0, 3: 0}
-		n := hb.Compact(acked, baselines)
+		n := hb.Compact(liveDests(acked, baselines))
 		if n == 0 {
 			t.Fatal("compaction removed nothing")
 		}
@@ -369,7 +369,7 @@ func TestServerHBBoundaryRandomized(t *testing.T) {
 					acked[x] += 1 + uint64(r.Intn(int(bcastToward[x]-acked[x])))
 				}
 			case 6:
-				hb.Compact(acked, baselines)
+				hb.Compact(liveDests(acked, baselines))
 			default:
 				x := 1 + r.Intn(sites)
 				ta := Timestamp{acked[x], 1}
@@ -392,12 +392,12 @@ func TestServerHBCompactPrefixOnly(t *testing.T) {
 	hb.AddFull(ServerEntry{Origin: 1}, vclock.VC{0, 3, 0})
 	acked := map[int]uint64{1: 0, 2: 1}
 	baselines := map[int]uint64{1: 0, 2: 0}
-	n := hb.Compact(acked, baselines)
+	n := hb.Compact(liveDests(acked, baselines))
 	if n != 1 || hb.Len() != 2 {
 		t.Fatalf("compact: removed %d, len %d", n, hb.Len())
 	}
 	// Nothing more to collect on a second call.
-	if n := hb.Compact(acked, baselines); n != 0 {
+	if n := hb.Compact(liveDests(acked, baselines)); n != 0 {
 		t.Fatalf("second compact removed %d", n)
 	}
 }
@@ -407,7 +407,7 @@ func TestServerHBCompactSkipsOriginSite(t *testing.T) {
 	hb.AddFull(ServerEntry{Origin: 1}, vclock.VC{0, 1, 0})
 	// Site 1 is the origin: its own ack is irrelevant; only site 2 matters,
 	// and site 2 has seen broadcast 1.
-	n := hb.Compact(map[int]uint64{1: 0, 2: 1}, map[int]uint64{1: 0, 2: 0})
+	n := hb.Compact(liveDests(map[int]uint64{1: 0, 2: 1}, map[int]uint64{1: 0, 2: 0}))
 	if n != 1 {
 		t.Fatalf("entry acked by all non-origin sites must be collectable, removed %d", n)
 	}
@@ -418,7 +418,7 @@ func TestServerHBCompactBaselineUnderflowGuard(t *testing.T) {
 	// Entry from before site 2's join (broadcast sum 1 < baseline 5):
 	// site 2 got it via its snapshot, so it never blocks collection.
 	hb.AddFull(ServerEntry{Origin: 1}, vclock.VC{0, 1, 0})
-	n := hb.Compact(map[int]uint64{2: 0}, map[int]uint64{2: 5})
+	n := hb.Compact(liveDests(map[int]uint64{2: 0}, map[int]uint64{2: 5}))
 	if n != 1 {
 		t.Fatalf("pre-join entry must be collectable, removed %d", n)
 	}

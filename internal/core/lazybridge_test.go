@@ -1,0 +1,404 @@
+package core
+
+import (
+	"errors"
+	"flag"
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"repro/internal/causal"
+	"repro/internal/op"
+	"repro/internal/trace"
+)
+
+// eagerBridges is the representation the notifier used before a bridge became
+// a view of the history buffer: every executed operation is appended to every
+// other joined site's list, an acknowledgement drops a prefix, and a site's
+// own arrival rebases what is left pairwise. It survives only here, as the
+// model the lazy bridge is held to entry for entry.
+type eagerBridges struct {
+	bridge map[int][]bridgeOp // joined sites only
+	sent   map[int]uint64     // broadcasts toward each joined site
+}
+
+func (m *eagerBridges) join(site int) { m.bridge[site], m.sent[site] = nil, 0 }
+
+func (m *eagerBridges) leave(site int) { delete(m.bridge, site); delete(m.sent, site) }
+
+func (m *eagerBridges) ack(site int, t1 uint64) {
+	b := m.bridge[site]
+	i := 0
+	for i < len(b) && b[i].seq <= t1 {
+		i++
+	}
+	m.bridge[site] = b[i:]
+}
+
+// arrive integrates one operation from site: prune by its T1, walk it across
+// the remaining bridge, append the executed form everywhere else. It returns
+// the executed form and the depth walked.
+func (m *eagerBridges) arrive(site int, t1 uint64, o *op.Op, ref causal.OpRef) (*op.Op, int, error) {
+	m.ack(site, t1)
+	b := m.bridge[site]
+	for j := range b {
+		var err error
+		if b[j].op, o, err = op.Transform(b[j].op, o); err != nil {
+			return nil, 0, err
+		}
+	}
+	for d := range m.bridge {
+		if d != site {
+			m.sent[d]++
+			m.bridge[d] = append(m.bridge[d], bridgeOp{seq: m.sent[d], op: o, ref: ref})
+		}
+	}
+	return o, len(b), nil
+}
+
+// lazyWorld drives one notifier and its clients through a random schedule
+// over per-link FIFO queues, with the eager model alongside. Odd site ids
+// write; even ones are the read-mostly audience: they integrate broadcasts
+// and report presence but never generate, so their bridges stay derived
+// unless a leave/rejoin or restore intervenes.
+type lazyWorld struct {
+	t            *testing.T
+	rng          *rand.Rand
+	opts         []ServerOption
+	composeDepth int
+	srv          *Server
+	model        eagerBridges
+	recv         map[int]uint64 // operations integrated from each site id, ever
+	executed     uint64         // operations executed at site 0
+	clients      map[int]*Client
+	up           map[int][]any // client → notifier FIFO: ClientMsg or PresenceMsg
+	down         map[int][]ServerMsg
+	left         []int
+	nextSite     int
+	// laggard, when non-zero, is a writer that reads its link one time in
+	// four: the bridge toward it runs deep enough to build the composed cache.
+	laggard int
+	digest  hash.Hash64 // nil once past the schedules the parent digests cover
+}
+
+func newLazyWorld(t *testing.T, seed int64, composeDepth int, opts []ServerOption) *lazyWorld {
+	w := &lazyWorld{
+		t: t, rng: rand.New(rand.NewSource(seed)), opts: opts, composeDepth: composeDepth,
+		srv:     NewServer("lazy bridge", opts...),
+		model:   eagerBridges{bridge: map[int][]bridgeOp{}, sent: map[int]uint64{}},
+		recv:    map[int]uint64{},
+		clients: map[int]*Client{},
+		up:      map[int][]any{},
+		down:    map[int][]ServerMsg{},
+	}
+	for w.nextSite = 1; w.nextSite <= 5; w.nextSite++ {
+		w.join(w.nextSite)
+	}
+	return w
+}
+
+func (w *lazyWorld) join(site int) {
+	snap, err := w.srv.Join(site)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	w.clients[site] = NewClient(site, snap.Text, WithClientResume(snap.LocalOps), WithClientCompaction(4))
+	w.up[site], w.down[site] = nil, nil
+	w.model.join(site)
+}
+
+// joined returns the joined site ids, ascending, optionally only those for
+// which keep holds.
+func (w *lazyWorld) joined(keep func(site int) bool) []int {
+	var out []int
+	for site := range w.clients {
+		if keep == nil || keep(site) {
+			out = append(out, site)
+		}
+	}
+	sort.Ints(out)
+	return out
+}
+
+func (w *lazyWorld) pick(sites []int) (int, bool) {
+	if len(sites) == 0 {
+		return 0, false
+	}
+	return sites[w.rng.Intn(len(sites))], true
+}
+
+func (w *lazyWorld) step() {
+	switch r := w.rng.Intn(100); {
+	case r < 30: // a writer edits
+		if site, ok := w.pick(w.joined(func(s int) bool { return s%2 == 1 })); ok {
+			w.generate(site)
+		}
+	case r < 55: // the notifier reads one message off one link
+		if site, ok := w.pick(w.joined(func(s int) bool { return len(w.up[s]) > 0 })); ok {
+			w.deliverUp(site)
+		}
+	case r < 82: // one client reads one broadcast
+		site, ok := w.pick(w.joined(func(s int) bool { return len(w.down[s]) > 0 }))
+		if ok && (site != w.laggard || w.rng.Intn(4) == 0) {
+			m := w.down[site][0]
+			w.down[site] = w.down[site][1:]
+			if _, err := w.clients[site].Integrate(m); err != nil {
+				w.t.Fatalf("site %d integrate: %v", site, err)
+			}
+		}
+	case r < 90: // anyone, the audience included, reports a selection
+		if site, ok := w.pick(w.joined(nil)); ok {
+			c := w.clients[site]
+			n := c.DocLen()
+			w.up[site] = append(w.up[site], c.Presence(w.rng.Intn(n+1), w.rng.Intn(n+1), true))
+		}
+	case r < 93:
+		if sites := w.joined(nil); len(sites) > 2 {
+			site, _ := w.pick(sites)
+			if err := w.srv.Leave(site); err != nil {
+				w.t.Fatal(err)
+			}
+			delete(w.clients, site)
+			w.model.leave(site)
+			w.left = append(w.left, site)
+		}
+	case r < 97: // rejoin under the old id, or join late under a fresh one
+		if len(w.left) > 0 && w.rng.Intn(2) == 0 {
+			w.join(w.left[0])
+			w.left = w.left[1:]
+		} else if w.nextSite <= 9 {
+			w.join(w.nextSite)
+			w.nextSite++
+		}
+	default: // dehydrate and rehydrate mid-run
+		cp, err := w.srv.Checkpoint()
+		if err != nil {
+			w.t.Fatal(err)
+		}
+		if w.srv, err = RestoreServer(cp, w.opts...); err != nil {
+			w.t.Fatal(err)
+		}
+	}
+	w.compare()
+}
+
+func (w *lazyWorld) generate(site int) {
+	c := w.clients[site]
+	n := c.DocLen()
+	var o *op.Op
+	var err error
+	if n == 0 || w.rng.Intn(10) < 7 {
+		o, err = op.NewInsert(n, w.rng.Intn(n+1), string(rune('a'+w.rng.Intn(26))))
+	} else {
+		pos := w.rng.Intn(n)
+		o, err = op.NewDelete(n, pos, 1+w.rng.Intn(min(3, n-pos)))
+	}
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	m, err := c.Generate(o)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	w.up[site] = append(w.up[site], m)
+}
+
+func (w *lazyWorld) deliverUp(site int) {
+	head := w.up[site][0]
+	w.up[site] = w.up[site][1:]
+	if p, ok := head.(PresenceMsg); ok {
+		outs, err := w.srv.RelayPresence(p)
+		if err != nil {
+			w.t.Fatalf("presence from %d: %v", site, err)
+		}
+		w.model.ack(site, p.TS.T1)
+		if w.digest != nil {
+			fmt.Fprintf(w.digest, "P%d %v|", site, outs)
+		}
+		return
+	}
+	m := head.(ClientMsg)
+	hbLen := w.srv.History().Len()
+	out, res, err := w.srv.Receive(m)
+	if err != nil {
+		w.t.Fatalf("receive from %d: %v", site, err)
+	}
+	w.executed++
+	w.recv[site]++
+	ref := causal.OpRef{Site: 0, Seq: w.executed}
+	exec, depth, err := w.model.arrive(site, m.TS.T1, m.Op, ref)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	if !res.Executed.Equal(exec) {
+		w.t.Fatalf("op %v: executed %v, eager model %v", m.Ref, res.Executed, exec)
+	}
+	if res.CheckCount != hbLen || res.ConcurrentCount != depth {
+		w.t.Fatalf("op %v: %d checks / %d concurrent, want %d / %d", m.Ref, res.CheckCount, res.ConcurrentCount, hbLen, depth)
+	}
+	if w.composeDepth <= 0 && res.Transforms != depth {
+		w.t.Fatalf("op %v: %d transforms on the pairwise path, bridge depth %d", m.Ref, res.Transforms, depth)
+	}
+	if w.digest != nil {
+		fmt.Fprintf(w.digest, "R%d %v %d/%d/%d|", site, m.TS, res.CheckCount, res.ConcurrentCount, res.Transforms)
+	}
+	dests := w.joined(func(s int) bool { return s != site })
+	if len(out) != len(dests) {
+		w.t.Fatalf("op %v: %d broadcasts for %d destinations", m.Ref, len(out), len(dests))
+	}
+	for i, sm := range out {
+		d := dests[i]
+		want := ServerMsg{To: d, Op: sm.Op, TS: Timestamp{T1: w.model.sent[d], T2: w.recv[d]}, Ref: ref, OrigRef: m.Ref}
+		if sm != want || !sm.Op.Equal(exec) {
+			w.t.Fatalf("op %v: broadcast %d is %+v (%v), want %+v (%v)", m.Ref, i, sm, sm.Op, want, exec)
+		}
+		if w.digest != nil {
+			fmt.Fprintf(w.digest, "%d %v %v %v %v|", sm.To, sm.TS, sm.Ref, sm.OrigRef, sm.Op)
+		}
+		w.down[d] = append(w.down[d], sm)
+	}
+}
+
+// drain delivers everything in flight, upstream first, and requires every
+// replica to have converged on the notifier's document.
+func (w *lazyWorld) drain() {
+	for moved := true; moved; {
+		moved = false
+		for _, site := range w.joined(nil) {
+			for len(w.up[site]) > 0 {
+				w.deliverUp(site)
+				moved = true
+			}
+		}
+		for _, site := range w.joined(nil) {
+			for _, m := range w.down[site] {
+				if _, err := w.clients[site].Integrate(m); err != nil {
+					w.t.Fatalf("site %d integrate: %v", site, err)
+				}
+				moved = true
+			}
+			w.down[site] = nil
+		}
+	}
+	w.compare()
+	for _, site := range w.joined(nil) {
+		if got, want := w.clients[site].Text(), w.srv.Text(); got != want {
+			w.t.Fatalf("site %d did not converge: %q, notifier %q", site, got, want)
+		}
+	}
+}
+
+// compare holds every joined site's bridge — derived or materialised — to the
+// model's, and the engine to its own invariants. Operations are comparable
+// only while no composed integration owes its pairwise rebase.
+func (w *lazyWorld) compare() {
+	if err := w.srv.checkInvariants(); err != nil {
+		w.t.Fatal(err)
+	}
+	for site, want := range w.model.bridge {
+		got := w.srv.bridgeOf(site)
+		if len(got) != len(want) || w.srv.BridgeLen(site) != len(want) {
+			w.t.Fatalf("site %d: bridge holds %d (BridgeLen %d), eager model %d", site, len(got), w.srv.BridgeLen(site), len(want))
+		}
+		settled := len(w.srv.clients[site].unfolded) == 0
+		for i := range want {
+			if got[i].seq != want[i].seq || got[i].ref != want[i].ref || (settled && !got[i].op.Equal(want[i].op)) {
+				w.t.Fatalf("site %d: bridge[%d] is (%d %v %v), eager model (%d %v %v)", site, i,
+					got[i].seq, got[i].ref, got[i].op, want[i].seq, want[i].ref, want[i].op)
+			}
+		}
+	}
+}
+
+// parentDigests are the FNV-1a digests of every Receive (timestamp, verdict
+// and transform counts, each broadcast) and presence relay over the first
+// parentDigestRuns schedules of each configuration, recorded by running this
+// file at the last commit that stored bridges eagerly (e41f155, with
+// bridgeOf returning st.bridge). The model above pins the pairwise path
+// exactly; the digests pin the composed path's transform counts as well.
+const parentDigestRuns = 200
+
+var parentDigests = map[string]uint64{
+	"compose=0/compact=1":   0x2839a95fb8dbbe8c,
+	"compose=0/compact=16":  0x949d788e6801d70c,
+	"compose=0/compact=64":  0x8b4b257d6a8629bc,
+	"compose=16/compact=1":  0x872f99285583867d,
+	"compose=16/compact=16": 0xe2bda8d06eb44b7b,
+	"compose=16/compact=64": 0xfb573f85654758d3,
+}
+
+// lazyRuns is the number of schedules per configuration; scripts/check.sh
+// runs the 10 000 the lazy bridge was accepted at.
+var lazyRuns = flag.Int("lazyruns", 500, "TestLazyBridgeDifferential: random schedules per configuration")
+
+// TestLazyBridgeDifferential runs random schedules — writers, a silent
+// audience, presence, leave/rejoin, late join, checkpoint→restore — against
+// the eager model at every compaction cadence, with composition off and at
+// its default depth.
+func TestLazyBridgeDifferential(t *testing.T) {
+	runs := *lazyRuns
+	if testing.Short() {
+		runs = parentDigestRuns
+	}
+	for _, composeDepth := range []int{0, defaultComposeDepth} {
+		for _, compactEvery := range []int{1, 16, 64} {
+			name := fmt.Sprintf("compose=%d/compact=%d", composeDepth, compactEvery)
+			t.Run(name, func(t *testing.T) {
+				met := trace.NewMetrics()
+				opts := []ServerOption{WithServerCompaction(compactEvery), WithServerComposeDepth(composeDepth), WithServerMetrics(met)}
+				digest := fnv.New64a()
+				materialised := 0
+				for run := 0; run < runs; run++ {
+					w := newLazyWorld(t, int64(run), composeDepth, opts)
+					if run < parentDigestRuns {
+						w.digest = digest
+					}
+					steps := 60 + run%90
+					if run%10 == 0 { // a long session with one writer far behind
+						w.laggard, steps = 1, 4*steps
+					}
+					for i := 0; i < steps; i++ {
+						w.step()
+						for _, st := range w.srv.clients {
+							if len(st.bridge) > 0 {
+								materialised++
+							}
+						}
+					}
+					w.drain()
+					if run+1 == parentDigestRuns {
+						if got, want := digest.Sum64(), parentDigests[name]; got != want {
+							t.Errorf("digest over %d schedules %#x, the eager parent produced %#x", parentDigestRuns, got, want)
+						}
+					}
+				}
+				if materialised == 0 {
+					t.Fatal("no schedule ever materialised a bridge")
+				}
+				if composeDepth > 0 && met.Get(trace.CCacheHits) == 0 {
+					t.Fatal("no schedule ever integrated through the composed cache")
+				}
+			})
+		}
+	}
+}
+
+// TestRestoreRejectsVersion1: checkpoints are in-memory dehydration state, so
+// the eager layout is refused rather than migrated.
+func TestRestoreRejectsVersion1(t *testing.T) {
+	s, _ := ckptScriptServer(t, 3, 40)
+	cp, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp[len(ckptMagic)] != ckptVersion {
+		t.Fatalf("version byte %d, want %d", cp[len(ckptMagic)], ckptVersion)
+	}
+	cp[len(ckptMagic)] = 1
+	if _, err := RestoreServer(cp); !errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("version-1 checkpoint: %v, want ErrBadCheckpoint", err)
+	}
+}

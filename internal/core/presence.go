@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/op"
 )
@@ -94,47 +93,39 @@ func (s *Server) RelayPresence(m PresenceMsg) ([]PresenceOut, error) {
 		return nil, fmt.Errorf("%w: site %d presence acknowledges %d broadcasts, only %d sent",
 			ErrBadMessage, m.From, m.TS.T1, st.sent)
 	}
-	// Prune by the acknowledgement, then walk into server context. The walk
-	// consults the individual bridge entries, so any rebases the composed
-	// cache deferred must be settled first (skipped when the prune removes
-	// the whole bridge — nothing is consulted then); pruning in turn
-	// invalidates the cache, exactly as in Server.bridgeWalk.
-	i := 0
-	for i < len(st.bridge) && st.bridge[i].seq <= m.TS.T1 {
-		i++
+	// Prune by the acknowledgement, then walk into server context. A
+	// materialised bridge is walked entry by entry, so any rebases the
+	// composed cache deferred must be settled first (ack already did when it
+	// pruned; settling leaves comp valid, as in Client.MapIncomingSelection).
+	// A derived bridge is the history-buffer suffix, read in place.
+	if _, err := st.ack(m.TS.T1); err != nil {
+		return nil, fmt.Errorf("core: presence transform: %w", err)
 	}
-	if len(st.unfolded) > 0 && i < len(st.bridge) {
+	if len(st.unfolded) > 0 {
 		if _, err := foldBridge(st.bridge, st.unfolded); err != nil {
 			return nil, fmt.Errorf("core: presence transform: %w", err)
 		}
-	}
-	clearFolds(&st.unfolded)
-	if i > 0 {
-		st.comp = nil
-		st.compHold = false
-		st.bridge = st.bridge[i:]
-	}
-	if m.TS.T1 > st.acked {
-		st.acked = m.TS.T1
+		clearFolds(&st.unfolded)
 	}
 	sel := op.Selection{Anchor: m.Anchor, Head: m.Head}
-	for _, b := range st.bridge {
-		sel = op.TransformSelection(b.op, sel, false)
+	if len(st.bridge) > 0 {
+		for _, b := range st.bridge {
+			sel = op.TransformSelection(b.op, sel, false)
+		}
+	} else {
+		s.hb.Pending(m.From, st.acked, st.baseline, func(_ uint64, e *ServerEntry) {
+			sel = op.TransformSelection(e.Op, sel, false)
+		})
 	}
 
-	dests := make([]int, 0, len(s.clients))
-	for dest := range s.clients {
-		dests = append(dests, dest)
-	}
-	sort.Ints(dests)
-	var out []PresenceOut
-	for _, dest := range dests {
-		dstState := s.clients[dest]
-		if dest == m.From || !dstState.joined {
+	dests := s.destinations()
+	out := make([]PresenceOut, 0, len(dests)-1)
+	for _, d := range dests {
+		if d.site == m.From {
 			continue
 		}
 		out = append(out, PresenceOut{
-			To: dest, From: m.From, Anchor: sel.Anchor, Head: sel.Head, Active: m.Active,
+			To: d.site, From: m.From, Anchor: sel.Anchor, Head: sel.Head, Active: m.Active,
 		})
 	}
 	return out, nil

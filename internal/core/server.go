@@ -14,9 +14,10 @@ import (
 
 // Server is the engine of the notifier (site 0, the center of the star in
 // paper Fig. 1). It maintains a full copy of the shared document, the full
-// N-element state vector SV_0, the history buffer with full-vector
-// timestamps, and one outgoing bridge per client for context-correct
-// transformation.
+// N-element state vector SV_0 and the history buffer with full-vector
+// timestamps. Each executed operation is stored once, there: a client's
+// outgoing bridge is a view of the buffer, copied out per client only while
+// that client has operations in transformation (clientState.bridge).
 //
 // For every operation received from site x it:
 //
@@ -88,8 +89,15 @@ type clientState struct {
 	sent uint64
 	// acked is the highest T1 received from this client.
 	acked uint64
-	// bridge holds broadcasts sent but not yet acknowledged, rebased so an
-	// incoming client operation can be walked into server context.
+	// bridge is the materialised form of the site's pending broadcasts
+	// (index acked+1 … sent). By DESIGN.md §4 that set is the history
+	// buffer's entries from other sites above baseline+acked, and a site
+	// with nothing in transformation keeps it only in that derived form
+	// (ServerHB.Pending): bridge is nil. The first arrival that finds the
+	// set non-empty must rebase its members against the site's own
+	// operations, which the shared buffer entries cannot absorb, so
+	// bridgeWalk copies them here; Receive appends while the copy exists,
+	// and ack drops it the moment an acknowledgement empties it.
 	bridge []bridgeOp
 
 	// comp, when non-nil, is the composition of the entire bridge (oldest →
@@ -119,6 +127,56 @@ type clientState struct {
 type deferredFold struct {
 	op     *op.Op // the operation as received, pre-transform
 	maxSeq uint64 // newest bridge/pending seq at integration time
+}
+
+// ack records that the site has received the first t1 broadcasts toward it:
+// it advances acked and, for a materialised bridge, drops the covered prefix
+// — entries with seq <= t1 are causally before whatever the site sent and
+// leave the concurrent suffix. The frontier moved, so the composed cache no
+// longer matches the suffix: deferred folds are settled first if any entry
+// survives (a full prune skips the replay — those entries are never consulted
+// again) and the cache is dropped. Survivors are copied down and the vacated
+// tail zeroed so acknowledged operations are not pinned by the backing array;
+// a bridge emptied outright returns to the derived form. It reports the
+// Transform calls spent settling.
+func (st *clientState) ack(t1 uint64) (int, error) {
+	if t1 <= st.acked {
+		return 0, nil
+	}
+	i := 0
+	for i < len(st.bridge) && st.bridge[i].seq <= t1 {
+		i++
+	}
+	transforms := 0
+	if i > 0 {
+		if len(st.unfolded) > 0 && i < len(st.bridge) {
+			var err error
+			if transforms, err = foldBridge(st.bridge, st.unfolded); err != nil {
+				return transforms, err
+			}
+		}
+		clearFolds(&st.unfolded)
+		st.comp = nil
+		st.compHold = false
+		if i == len(st.bridge) {
+			st.bridge = nil
+		} else {
+			n := copy(st.bridge, st.bridge[i:])
+			clear(st.bridge[n:])
+			st.bridge = st.bridge[:n]
+		}
+	}
+	st.acked = t1
+	return transforms, nil
+}
+
+// dropBridge discards the materialised bridge and its composed cache: the
+// site left, or rejoined from a fresh snapshot.
+func (st *clientState) dropBridge() {
+	st.bridge = nil
+	st.comp = nil
+	st.unfolded = nil
+	st.compHold = false
 }
 
 // clearFolds empties a fold list, zeroing entries so the dropped *op.Op
@@ -269,11 +327,11 @@ func (s *Server) SentTo(site int) uint64 {
 	return 0
 }
 
-// BridgeLen returns the number of unacknowledged broadcasts toward site
-// (used by GC and memory tests).
+// BridgeLen returns the number of unacknowledged broadcasts toward site —
+// the logical bridge depth, whether or not the bridge is materialised.
 func (s *Server) BridgeLen(site int) int {
-	if st, ok := s.clients[site]; ok {
-		return len(st.bridge)
+	if st, ok := s.clients[site]; ok && st.joined {
+		return int(st.sent - st.acked)
 	}
 	return 0
 }
@@ -298,10 +356,7 @@ func (s *Server) Join(site int) (Snapshot, error) {
 		st.baseline = s.sv.SumExcept(site)
 		st.sent = 0
 		st.acked = 0
-		st.bridge = nil
-		st.comp = nil
-		st.unfolded = nil
-		st.compHold = false
+		st.dropBridge()
 		s.dests = nil
 		return Snapshot{Site: site, Text: s.buf.String(), LocalOps: s.sv.Of(site)}, nil
 	}
@@ -320,10 +375,7 @@ func (s *Server) Leave(site int) error {
 		return fmt.Errorf("%w: site %d not joined", ErrBadMessage, site)
 	}
 	st.joined = false
-	st.bridge = nil
-	st.comp = nil
-	st.unfolded = nil
-	st.compHold = false
+	st.dropBridge()
 	s.dests = nil
 	return nil
 }
@@ -389,14 +441,20 @@ func (s *Server) Receive(m ClientMsg) ([]ServerMsg, IntegrationResult, error) {
 	}
 	s.spans.Stamp(m.Trace, span.StageCheck)
 
+	// T1 acknowledges broadcasts in either mode; what it leaves pending is
+	// the concurrent set the operation must be transformed across.
+	transforms, err := st.ack(m.TS.T1)
+	if err != nil {
+		return nil, IntegrationResult{}, fmt.Errorf("core: server transform: %w", err)
+	}
 	exec := m.Op
-	transforms := 0
 	if s.mode == ModeTransform {
-		var err error
-		exec, transforms, err = s.bridgeWalk(st, m)
+		var walked int
+		exec, walked, err = s.bridgeWalk(st, m)
 		if err != nil {
 			return nil, IntegrationResult{}, err
 		}
+		transforms += walked
 		s.count(trace.CTransforms, int64(transforms))
 		s.spans.Stamp(m.Trace, span.StageTransform)
 		if err := doc.Apply(s.buf, exec); err != nil {
@@ -407,9 +465,6 @@ func (s *Server) Receive(m ClientMsg) ([]ServerMsg, IntegrationResult, error) {
 	}
 	s.spans.Stamp(m.Trace, span.StageExecute)
 	res.Transforms = transforms
-	if m.TS.T1 > st.acked {
-		st.acked = m.TS.T1
-	}
 
 	// Execution complete: count the operation (§3.2) and buffer the
 	// executed form with the full state vector (§3.3).
@@ -442,9 +497,14 @@ func (s *Server) Receive(m ClientMsg) ([]ServerMsg, IntegrationResult, error) {
 			continue
 		}
 		d.st.sent++
-		// Safe to share exec across bridges and the broadcast: engine code
-		// never mutates a built operation (Transform returns fresh ops).
-		d.st.bridge = append(d.st.bridge, bridgeOp{seq: d.st.sent, op: exec, ref: ref})
+		// A derived bridge gains the operation through the history buffer
+		// alone; only a site mid-transformation holds its own copy. Safe to
+		// share exec across those copies, the buffer and the broadcast:
+		// engine code never mutates a built operation (Transform returns
+		// fresh ops).
+		if len(d.st.bridge) > 0 {
+			d.st.bridge = append(d.st.bridge, bridgeOp{seq: d.st.sent, op: exec, ref: ref})
+		}
 		if d.st.comp != nil {
 			// Compose-on-append keeps a warm cache covering the whole
 			// bridge: exec's base is the pre-exec document, which is
@@ -475,12 +535,12 @@ func (s *Server) Receive(m ClientMsg) ([]ServerMsg, IntegrationResult, error) {
 	return out, res, nil
 }
 
-// bridgeWalk brings one incoming client operation into server context. It
-// settles any deferred folds the acknowledgement forces, prunes the
-// acknowledged bridge prefix, and transforms the operation across the
-// remaining (concurrent) suffix — through the composed cache when it is
-// warm or deep enough to build, pairwise otherwise. It returns the executed
-// form and the number of op.Transform calls spent.
+// bridgeWalk brings one incoming client operation into server context, after
+// Receive applied its acknowledgement: it materialises the site's bridge if
+// the pending set is non-empty and still derived, and transforms the
+// operation across it — through the composed cache when it is warm or deep
+// enough to build, pairwise otherwise. It returns the executed form and the
+// number of op.Transform calls spent.
 //
 // Correctness of the composed path rests on transform/compose
 // compatibility: transforming against Compose(b₁,…,b_k) yields the same
@@ -492,36 +552,15 @@ func (s *Server) Receive(m ClientMsg) ([]ServerMsg, IntegrationResult, error) {
 // work never exceeds what the pairwise path would have spent up front.
 func (s *Server) bridgeWalk(st *clientState, m ClientMsg) (*op.Op, int, error) {
 	exec := m.Op
-	// Prune the bridge with the client's acknowledgement: entries with
-	// seq <= T1 are causally before the arrival and leave the concurrent
-	// suffix.
-	i := 0
-	for i < len(st.bridge) && st.bridge[i].seq <= m.TS.T1 {
-		i++
+	if st.sent == st.acked {
+		// Nothing concurrent; the operation executes as-is.
+		return exec, 0, nil
+	}
+	if len(st.bridge) == 0 {
+		s.materialise(m.From, st)
 	}
 	transforms := 0
-	if i > 0 {
-		// The frontier moved: the cache no longer matches the suffix. If
-		// any composed integrations still owe their pairwise rebase and
-		// some entries survive, settle them first; a full prune skips the
-		// replay — those entries are never consulted again.
-		if len(st.unfolded) > 0 && i < len(st.bridge) {
-			t, err := foldBridge(st.bridge, st.unfolded)
-			transforms += t
-			if err != nil {
-				return nil, 0, fmt.Errorf("core: server transform: %w", err)
-			}
-		}
-		clearFolds(&st.unfolded)
-		st.comp = nil
-		st.compHold = false
-		st.bridge = st.bridge[i:]
-	}
 	k := len(st.bridge)
-	if k == 0 {
-		// Nothing concurrent; the operation executes as-is.
-		return exec, transforms, nil
-	}
 	if st.comp != nil {
 		if op.ComposedTransformSafe(st.comp, exec) {
 			// Warm cache: comp covers the whole bridge (compose-on-append
@@ -625,6 +664,17 @@ func composeBridge(bridge []bridgeOp) (*op.Op, error) {
 	return comp, nil
 }
 
+// materialise copies the site's pending broadcasts out of the history buffer
+// into st.bridge, so the walk can rebase them against the site's own
+// operations without touching the entries every other site still derives
+// from. Only the *op.Op pointers are copied; Transform replaces them in the
+// copy with fresh operations.
+func (s *Server) materialise(site int, st *clientState) {
+	s.hb.Pending(site, st.acked, st.baseline, func(seq uint64, e *ServerEntry) {
+		st.bridge = append(st.bridge, bridgeOp{seq: seq, op: e.Op, ref: e.Ref})
+	})
+}
+
 // tracedVisit builds the per-entry callback for the cold tracing paths and
 // the Checks slice it fills (nil unless the check trace is on). Kept out of
 // Receive — and not inlined, taking no pointers into Receive's locals — so
@@ -667,16 +717,7 @@ func (s *Server) recordIntegrate(m ClientMsg, checkCount, concCount, transforms 
 // Compact garbage-collects the history buffer using the latest
 // acknowledgements from all joined sites; returns entries removed.
 func (s *Server) Compact() int {
-	acked := make(map[int]uint64, len(s.clients))
-	baselines := make(map[int]uint64, len(s.clients))
-	for id, st := range s.clients {
-		if !st.joined {
-			continue
-		}
-		acked[id] = st.acked
-		baselines[id] = st.baseline
-	}
-	removed := s.hb.Compact(acked, baselines)
+	removed := s.hb.Compact(s.destinations())
 	s.count(trace.CCompactions, 1)
 	s.count(trace.CCompacted, int64(removed))
 	return removed
@@ -694,8 +735,36 @@ func (s *Server) checkInvariants() error {
 		if st.sent != want {
 			return fmt.Errorf("core: site %d: sent=%d but SumExcept-baseline=%d", id, st.sent, want)
 		}
-		if uint64(len(st.bridge)) > st.sent {
-			return fmt.Errorf("core: site %d: bridge %d > sent %d", id, len(st.bridge), st.sent)
+		if st.acked > st.sent {
+			return fmt.Errorf("core: site %d: acked %d > sent %d", id, st.acked, st.sent)
+		}
+		// The representation invariant (DESIGN.md §4): the history buffer
+		// holds exactly the sent−acked pending broadcasts, with consecutive
+		// indices from acked+1, and a materialised bridge is a non-empty,
+		// entry-for-entry copy of them (its operations rebased, so only seq
+		// and ref are comparable).
+		var pending []bridgeOp
+		s.hb.Pending(id, st.acked, st.baseline, func(seq uint64, e *ServerEntry) {
+			pending = append(pending, bridgeOp{seq: seq, ref: e.Ref})
+		})
+		if uint64(len(pending)) != st.sent-st.acked {
+			return fmt.Errorf("core: site %d: history buffer holds %d pending broadcasts, sent−acked=%d", id, len(pending), st.sent-st.acked)
+		}
+		for i, p := range pending {
+			if p.seq != st.acked+1+uint64(i) {
+				return fmt.Errorf("core: site %d: pending entry %d has index %d, want %d", id, i, p.seq, st.acked+1+uint64(i))
+			}
+		}
+		if st.bridge != nil {
+			if len(st.bridge) == 0 || len(st.bridge) != len(pending) {
+				return fmt.Errorf("core: site %d: materialised bridge holds %d entries, %d pending", id, len(st.bridge), len(pending))
+			}
+			for i, b := range st.bridge {
+				if b.seq != pending[i].seq || b.ref != pending[i].ref {
+					return fmt.Errorf("core: site %d: bridge[%d] is (%d, %v), history buffer has (%d, %v)",
+						id, i, b.seq, b.ref, pending[i].seq, pending[i].ref)
+				}
+			}
 		}
 		if st.comp == nil && len(st.unfolded) > 0 {
 			return fmt.Errorf("core: site %d: %d unsettled folds without a composed cache", id, len(st.unfolded))

@@ -19,7 +19,10 @@ import "go/ast"
 //
 // Passing the fields to helpers by pointer from inside an owner method
 // (clearFolds(&st.unfolded)) stays legal: the helper runs synchronously on
-// the owner's call stack, under the same serialization.
+// the owner's call stack, under the same serialization. So are the holder
+// type's own methods (clientState.ack, which prunes the bridge and the cache
+// over it in one step): the record is unexported and reachable only through
+// its engine, so its methods run on an owner's call stack too.
 var CacheMut = &Analyzer{
 	Name: "cachemut",
 	Doc:  "composed-suffix cache field mutated outside the owning engine's methods",
@@ -99,7 +102,7 @@ func reportCacheField(pass *Pass, e ast.Expr, owner, how string) {
 	if !ok {
 		return
 	}
-	if owner == want {
+	if owner == want || owner == named.Obj().Name() {
 		return
 	}
 	where := "a free function or literal"

@@ -8,9 +8,10 @@ import (
 
 // OpAlias flags an *op.Op that is mutated after a message aliasing it has
 // been handed to a send path. The engines share built operations freely —
-// the notifier stores the same *op.Op in every destination's bridge and
-// broadcast message (server.go) — and that sharing is only sound because a
-// built operation is immutable. Calling one of the fluent mutators
+// the notifier stores the same *op.Op in its history buffer, in every
+// materialised bridge and in the broadcast message (server.go) — and that
+// sharing is only sound because a built operation is immutable. Calling one
+// of the fluent mutators
 // (Retain/Insert/Delete) on an op a ClientMsg/ServerMsg already carries
 // retroactively edits a message in flight: the receiver integrates an
 // operation that no longer matches its timestamp, which is precisely the

@@ -42,6 +42,15 @@ func (c *Client) integrate() {
 	c.pcompHold = false
 }
 
+// The holder's own methods run on an owner's call stack: the lazy bridge's
+// ack-prune drops the bridge prefix and the cache over it in one step.
+func (st *clientState) ack(n int) {
+	st.bridge = st.bridge[:copy(st.bridge, st.bridge[n:])]
+	st.comp = nil
+	st.compHold = false
+	clearFolds(&st.unfolded)
+}
+
 // A helper mutating through a pointer it was handed does not select the
 // cache fields itself and stays clean.
 func clearFolds(list *[]deferredFold) {

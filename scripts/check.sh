@@ -11,6 +11,20 @@ FUZZTIME="${FUZZTIME:-10s}"
 
 step() { echo "== $*" >&2; }
 
+# Nothing the gate starts may outlive it: a server, benchmark or test binary
+# still alive at exit fails the gate whatever the steps said. pgrep matches
+# process names (no -f), so it cannot match this shell's own command line.
+leftovers() {
+	status=$?
+	left=$(pgrep -l 'cvcbench|reducesrv|\.test$' 2>/dev/null) || true
+	if [ -n "$left" ]; then
+		printf 'check.sh: processes left running:\n%s\n' "$left" >&2
+		status=1
+	fi
+	exit "$status"
+}
+trap leftovers EXIT
+
 step "go build ./..."
 go build ./...
 
@@ -34,6 +48,11 @@ go run ./cmd/cvclint -budget
 
 step "go test ./..."
 go test ./...
+
+# The lazy bridge against the eager model it replaced, at the schedule count
+# it was accepted at (`go test` alone runs 500).
+step "lazy-bridge differential (10 000 schedules per configuration)"
+go test ./internal/core -run='^TestLazyBridgeDifferential$' -count=1 -lazyruns 10000
 
 step "go test -race (scripts/race.sh: engine, op, wire, transport, netpoll, server, obs, sim, root)"
 bash scripts/race.sh

@@ -45,6 +45,9 @@ func TestSoak(t *testing.T) {
 
 	var mu sync.Mutex
 	editors := map[int]*Editor{}
+	// Sites churned out: what they typed before leaving may still be on its
+	// way to the notifier when the rounds end.
+	var departed []int
 	for i := 0; i < 5; i++ {
 		e := dial(false)
 		editors[e.Site()] = e
@@ -98,6 +101,7 @@ func TestSoak(t *testing.T) {
 			for site, e := range editors {
 				_ = e.Close()
 				delete(editors, site)
+				departed = append(departed, site)
 				break
 			}
 			mu.Unlock()
@@ -108,7 +112,9 @@ func TestSoak(t *testing.T) {
 		}
 	}
 
-	// Quiesce: all counts line up for live editors.
+	// Quiesce: all counts line up for live editors, and the notifier has seen
+	// every departed one leave — until it has, an operation of theirs it has
+	// yet to read would be broadcast after the texts were compared.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		received, sent := nt.Counts()
@@ -119,6 +125,11 @@ func TestSoak(t *testing.T) {
 			if received[e.Site()] != local || sent[e.Site()] != fromServer {
 				quiet = false
 				break
+			}
+		}
+		for _, site := range departed {
+			if _, joined := received[site]; joined {
+				quiet = false
 			}
 		}
 		if quiet {
