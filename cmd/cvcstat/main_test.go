@@ -97,9 +97,17 @@ func TestLiveSnapshotRendering(t *testing.T) {
 		t.Errorf("conn.queue.depth histogram empty: %+v ok=%v", qh, ok)
 	}
 
-	// The composed-cache counters are pre-created by the engine, so every
-	// session snapshot carries them even before the first lookup.
-	for _, k := range []string{"ot.cache.hits", "ot.cache.misses", "ot.cache.composes"} {
+	// The tenth wire type has its rows although nobody has sent one yet.
+	for _, k := range []string{"wire.frames.ack", "wire.bytes.ack"} {
+		if _, ok := snap.Counters[k]; !ok {
+			t.Errorf("root counters missing %q", k)
+		}
+	}
+
+	// The composed-cache and bare-acknowledgement counters are pre-created by
+	// the engine, so every session snapshot carries them even before the
+	// first lookup or acknowledgement.
+	for _, k := range []string{"ot.cache.hits", "ot.cache.misses", "ot.cache.composes", "acks.received", "acks.stale"} {
 		if _, ok := sess.Counters[k]; !ok {
 			t.Errorf("session counters missing %q: %v", k, sess.Counters)
 		}

@@ -324,6 +324,14 @@ func (e *Editor) integrate(so wire.ServerOp) bool {
 	var text string
 	var fn func(string)
 	if err == nil {
+		// A site that only reads still tells the notifier how far it has
+		// read, or it would pin the notifier's history buffer for as long as
+		// it stays quiet. Enqueued under the lock like an edit, so the T1s on
+		// the link stay in order; a refused enqueue means the link is going
+		// down, which the read loop reports.
+		if t1, due := e.client.TakeAck(); due {
+			_ = e.snd.Enqueue(wire.Ack{From: e.client.Site(), T1: t1})
+		}
 		e.transformSelection(res.Executed, false)
 		e.advanceRemoteSelections(res.Executed)
 		// Materialize the document only when someone is listening: Text()

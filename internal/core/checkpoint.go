@@ -8,7 +8,6 @@ import (
 	"repro/internal/causal"
 	"repro/internal/doc"
 	"repro/internal/op"
-	"repro/internal/trace"
 	"repro/internal/vclock"
 )
 
@@ -186,11 +185,7 @@ func RestoreServer(data []byte, opts ...ServerOption) (*Server, error) {
 	if len(d.b) != 0 {
 		return nil, fmt.Errorf("core: restore: %d trailing bytes: %w", len(d.b), ErrBadCheckpoint)
 	}
-	// Same catalogue warm-up as NewServer so a restored engine exposes the
-	// cache counters deterministically.
-	s.count(trace.CCacheHits, 0)
-	s.count(trace.CCacheMisses, 0)
-	s.count(trace.CComposes, 0)
+	s.warmCounters()
 	return s, nil
 }
 

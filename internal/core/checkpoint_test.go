@@ -17,6 +17,7 @@ import (
 type ckptHarness struct {
 	clients map[int]*Client
 	inbox   map[int][]ServerMsg
+	acks    *rand.Rand // ackSome's own source
 }
 
 func (h *ckptHarness) enqueue(msgs []ServerMsg) {
@@ -27,8 +28,9 @@ func (h *ckptHarness) enqueue(msgs []ServerMsg) {
 
 func (h *ckptHarness) deliverSome(t *testing.T, rng *rand.Rand) {
 	t.Helper()
-	for site, c := range h.clients {
-		q := h.inbox[site]
+	// Ascending site order, not map order: a seed names one schedule.
+	for site := 1; site <= len(h.clients); site++ {
+		c, q := h.clients[site], h.inbox[site]
 		for len(q) > 0 && rng.Intn(3) != 0 {
 			if _, err := c.Integrate(q[0]); err != nil {
 				t.Fatal(err)
@@ -39,6 +41,30 @@ func (h *ckptHarness) deliverSome(t *testing.T, rng *rand.Rand) {
 	}
 }
 
+// ackSome has each site, one time in two, report how far it has read to every
+// engine given — the same bare acknowledgement to each, so engines that agreed
+// before still must. Operations reach the notifier the moment they are
+// generated here, so the upstream links are empty and an acknowledgement
+// overtakes nothing. Draws come from the harness's own source: the scripted
+// schedule is the same with acknowledgements and without.
+func (h *ckptHarness) ackSome(t *testing.T, engines ...*Server) {
+	t.Helper()
+	for site := 1; site <= len(h.clients); site++ {
+		if h.acks.Intn(2) != 0 {
+			continue
+		}
+		t1 := h.clients[site].SV().FromServer
+		for _, s := range engines {
+			if err := s.Ack(site, t1); err != nil {
+				t.Fatalf("ack %d from site %d: %v", t1, site, err)
+			}
+			if err := s.checkInvariants(); err != nil {
+				t.Fatalf("after ack %d from site %d: %v", t1, site, err)
+			}
+		}
+	}
+}
+
 // ckptScriptServer drives a server through a deterministic multi-site
 // workload with lagging acknowledgements and returns it mid-session. Sites
 // 1–4 write; 5 and 6 only read, so a checkpoint sees both forms of bridge:
@@ -46,9 +72,17 @@ func (h *ckptHarness) deliverSome(t *testing.T, rng *rand.Rand) {
 // sites' pending broadcasts exist only as history entries.
 func ckptScriptServer(t *testing.T, seed int64, steps int, opts ...ServerOption) (*Server, *ckptHarness) {
 	t.Helper()
+	return ckptScript(t, seed, steps, false, opts...)
+}
+
+// ckptScript is ckptScriptServer, optionally with bare acknowledgements from
+// writers and readers landing between the steps.
+func ckptScript(t *testing.T, seed int64, steps int, acking bool, opts ...ServerOption) (*Server, *ckptHarness) {
+	t.Helper()
 	s := NewServer("the quick brown fox", opts...)
 	rng := rand.New(rand.NewSource(seed))
-	h := &ckptHarness{clients: make(map[int]*Client), inbox: make(map[int][]ServerMsg)}
+	h := &ckptHarness{clients: make(map[int]*Client), inbox: make(map[int][]ServerMsg),
+		acks: rand.New(rand.NewSource(seed ^ 0xacc))}
 	for site := 1; site <= 6; site++ {
 		snap, err := s.Join(site)
 		if err != nil {
@@ -81,13 +115,13 @@ func ckptScriptServer(t *testing.T, seed int64, steps int, opts ...ServerOption)
 		}
 		h.enqueue(msgs)
 		h.deliverSome(t, rng)
-	}
-	// Leave at least one writer mid-transformation: one with broadcasts still
-	// in flight toward it edits once more.
-	for site := 1; site <= 4; site++ {
-		if len(h.inbox[site]) == 0 {
-			continue
+		if acking {
+			h.ackSome(t, s)
 		}
+	}
+	// Leave a writer mid-transformation: site 1 edits and nobody reads it, so
+	// site 2's next edit races at least that one broadcast.
+	for site := 1; site <= 2; site++ {
 		cm, err := h.clients[site].Insert(0, "!")
 		if err != nil {
 			t.Fatal(err)
@@ -97,7 +131,6 @@ func ckptScriptServer(t *testing.T, seed int64, steps int, opts ...ServerOption)
 			t.Fatal(err)
 		}
 		h.enqueue(msgs)
-		break
 	}
 	return s, h
 }
@@ -128,31 +161,49 @@ func minCk(a, b int) int {
 // Checkpoint(RestoreServer(cp)) == cp, for engines in assorted mid-session
 // states.
 func TestCheckpointByteIdentity(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		s, _ := ckptScriptServer(t, seed, 120)
-		if m, d := bridgeForms(s); m == 0 || d == 0 {
-			t.Fatalf("seed %d: %d materialised and %d derived bridges at checkpoint, want both", seed, m, d)
-		}
-		cp, err := s.Checkpoint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := RestoreServer(cp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m, d := bridgeForms(s); m == 0 || d == 0 {
-			t.Fatalf("seed %d: checkpointing left %d materialised and %d derived bridges", seed, m, d)
-		}
-		if err := r.checkInvariants(); err != nil {
-			t.Fatalf("seed %d: restored engine: %v", seed, err)
-		}
-		cp2, err := r.Checkpoint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(cp, cp2) {
-			t.Fatalf("seed %d: re-checkpoint differs: %d vs %d bytes", seed, len(cp), len(cp2))
+	for _, acking := range []bool{false, true} {
+		for seed := int64(1); seed <= 5; seed++ {
+			s, h := ckptScript(t, seed, 120, acking)
+			if m, d := bridgeForms(s); m == 0 || d == 0 {
+				t.Fatalf("seed %d: %d materialised and %d derived bridges at checkpoint, want both", seed, m, d)
+			}
+			cp, err := s.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := RestoreServer(cp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m, d := bridgeForms(s); m == 0 || d == 0 {
+				t.Fatalf("seed %d: checkpointing left %d materialised and %d derived bridges", seed, m, d)
+			}
+			if err := r.checkInvariants(); err != nil {
+				t.Fatalf("seed %d: restored engine: %v", seed, err)
+			}
+			cp2, err := r.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(cp, cp2) {
+				t.Fatalf("seed %d: re-checkpoint differs: %d vs %d bytes", seed, len(cp), len(cp2))
+			}
+			if !acking {
+				continue
+			}
+			// Acknowledgements landing after the checkpoint move the original
+			// and the restored engine to the same bytes again.
+			h.ackSome(t, s, r)
+			cp, err = s.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cp2, err = r.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(cp, cp2) {
+				t.Fatalf("seed %d: checkpoints differ after the same acknowledgements: %d vs %d bytes", seed, len(cp), len(cp2))
+			}
 		}
 	}
 }
@@ -162,8 +213,11 @@ func TestCheckpointByteIdentity(t *testing.T) {
 // and the original through the same remaining workload — every broadcast,
 // timestamp, and final document must match.
 func TestCheckpointContinuation(t *testing.T) {
-	for seed := int64(10); seed <= 13; seed++ {
-		s, h := ckptScriptServer(t, seed, 150)
+	for seed := int64(10); seed <= 17; seed++ {
+		// The second four seeds run with bare acknowledgements landing before
+		// the checkpoint and, identically on both engines, after it.
+		acking := seed > 13
+		s, h := ckptScript(t, seed, 150, acking)
 		if m, d := bridgeForms(s); m == 0 || d == 0 {
 			t.Fatalf("seed %d: %d materialised and %d derived bridges at checkpoint, want both", seed, m, d)
 		}
@@ -221,6 +275,12 @@ func TestCheckpointContinuation(t *testing.T) {
 			// restored one's) so the shared clients advance, still FIFO.
 			h.enqueue(m1)
 			h.deliverSome(t, rng)
+			if acking {
+				h.ackSome(t, s, r)
+				if got, want := r.History().Len(), s.History().Len(); got != want {
+					t.Fatalf("seed %d step %d: restored HB len %d, original %d", seed, i, got, want)
+				}
+			}
 		}
 		if s.Text() != r.Text() {
 			t.Fatalf("seed %d: final texts diverge", seed)

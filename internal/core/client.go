@@ -74,6 +74,10 @@ type Client struct {
 	// per-check allocations.
 	checkTrace bool
 
+	// silent counts the integrations since this site last put a T1 on its
+	// link — the broadcasts the notifier cannot yet know it has (TakeAck).
+	silent int
+
 	// undo, when non-nil, tracks inverses of local operations (see
 	// undo.go). Mutually exclusive with compaction.
 	undo *undoStack
@@ -226,6 +230,7 @@ func (c *Client) Generate(o *op.Op) (ClientMsg, error) {
 	}
 	c.sv.Local++ // §3.2 rule 3
 	ts := c.sv.Stamp()
+	c.silent = 0 // ts.T1 acknowledges everything integrated so far
 	ref := causal.OpRef{Site: c.site, Seq: c.sv.Local}
 	c.hb.Add(ClientEntry{Op: o, TS: ts, Origin: OriginLocal, Ref: ref})
 	if c.undo != nil {
@@ -318,6 +323,7 @@ func (c *Client) Integrate(m ServerMsg) (IntegrationResult, error) {
 	res.Transforms = transforms
 
 	c.sv.FromServer++ // §3.2 rule 2
+	c.silent++
 	c.hb.Add(ClientEntry{Op: exec, TS: m.TS, Origin: OriginServer, Ref: m.Ref})
 	res.Executed = exec
 	c.count(trace.COpsIntegrated, 1)
@@ -335,6 +341,27 @@ func (c *Client) Integrate(m ServerMsg) (IntegrationResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// AckEvery is how many broadcasts a site integrates without sending anything
+// that carries a T1 before it owes the notifier a bare acknowledgement. It
+// matches the notifier's compaction cadence: a site that has integrated fewer
+// pins fewer history entries than one compaction round leaves behind anyway,
+// so no quiet-period timer is needed to flush the remainder.
+const AckEvery = 64
+
+// TakeAck reports whether a bare acknowledgement is due — AckEvery
+// integrations since the last operation or presence report — and, if so,
+// returns the T1 to send and starts the count afresh. The caller must put it
+// on the link in order with its operations. Drivers that never call it
+// (simulators, third-party clients) keep the pre-acknowledgement protocol:
+// the notifier then learns their T1 only from their operations.
+func (c *Client) TakeAck() (t1 uint64, due bool) {
+	if c.silent < AckEvery {
+		return 0, false
+	}
+	c.silent = 0
+	return c.sv.FromServer, true
 }
 
 // pendingWalk brings one arriving notifier operation into local context —

@@ -175,3 +175,53 @@ func TestClientAccessors(t *testing.T) {
 		t.Fatalf("accessors: %d %v %d", c.Site(), c.Mode(), c.DocLen())
 	}
 }
+
+// TestTakeAck pins when a site owes the notifier a bare acknowledgement:
+// after AckEvery integrations with no T1 sent in between, once, carrying
+// everything integrated so far — and an operation or a presence report, whose
+// timestamps already carry it, starts the count again.
+func TestTakeAck(t *testing.T) {
+	srv := NewServer("")
+	writer, reader := join(t, srv, 1), join(t, srv, 2)
+	feed := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			m, err := writer.Insert(0, "x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, _, err := srv.Receive(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := reader.Integrate(out[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	feed(AckEvery - 1)
+	if _, due := reader.TakeAck(); due {
+		t.Fatalf("acknowledgement due after %d integrations", AckEvery-1)
+	}
+	feed(1)
+	if t1, due := reader.TakeAck(); !due || t1 != AckEvery {
+		t.Fatalf("TakeAck after %d integrations = %d, %v; want %d, due", AckEvery, t1, due, AckEvery)
+	}
+	if _, due := reader.TakeAck(); due {
+		t.Fatal("the same acknowledgement is due twice")
+	}
+	feed(AckEvery - 1)
+	reader.Presence(0, 0, true)
+	feed(AckEvery - 1)
+	if _, err := reader.Insert(0, "y"); err != nil {
+		t.Fatal(err)
+	}
+	feed(AckEvery - 1)
+	if _, due := reader.TakeAck(); due {
+		t.Fatal("acknowledgement due although a presence report and an operation each carried a T1 since")
+	}
+	feed(1)
+	if t1, due := reader.TakeAck(); !due || t1 != reader.SV().FromServer {
+		t.Fatalf("TakeAck = %d, %v; want %d, due", t1, due, reader.SV().FromServer)
+	}
+}

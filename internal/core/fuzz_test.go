@@ -51,7 +51,8 @@ func FuzzIntegrateEquivalence(f *testing.F) {
 	// delete-dense traffic that exercises the ComposedTransformSafe
 	// fallback, and two writers racing beside a silent third site, whose
 	// bridges go derived → materialised → derived while its own never leaves
-	// the history buffer.
+	// the history buffer — and the same with the third site acknowledging
+	// what it has read at the end of every round.
 	f.Add([]byte{2})
 	f.Add([]byte{3, 0x00, 0x10, 0x04, 0x21, 0x01, 0x00, 0x02, 0x00})
 	f.Add([]byte{2, 0x00, 0x05, 0x00, 0x45, 0x00, 0x85, 0x00, 0xc5, 0x01, 0x00, 0x01, 0x00, 0x02, 0x00, 0x02, 0x00})
@@ -59,6 +60,7 @@ func FuzzIntegrateEquivalence(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0x00, 0xff, 0x04, 0xfe, 0x08, 0xfd, 0x01, 0x00, 0x05, 0x00, 0x02, 0x00, 0x06, 0x00}, 8))
 	f.Add(silentThirdSite)
 	f.Add(append([]byte{2}, silentThirdSite[1:]...)) // the same beside two silent sites
+	f.Add(ackingThirdSite)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 512 {
 			t.Skip()
@@ -86,8 +88,10 @@ func FuzzIntegrateEquivalence(f *testing.F) {
 				}
 			case 1: // deliver one queued client op to the notifier
 				fuzzDeliverServer(t, fast, naive, site, step)
-			default: // deliver one queued broadcast to the client
+			case 2: // deliver one queued broadcast to the client
 				fuzzDeliverClient(t, fast, naive, site, step)
+			default: // the site reports how far it has read
+				fuzzAck(t, fast, naive, site, step)
 			}
 			fuzzCompareWorlds(t, fast, naive, step)
 		}
@@ -124,6 +128,41 @@ var silentThirdSite = append([]byte{1}, bytes.Repeat([]byte{
 	0x02, 0x00, 0x00, 0x5c, 0x01, 0x00, // and so has site 1
 	0x06, 0x00, 0x06, 0x00, 0x0a, 0x00, 0x0a, 0x00,
 }, 6)...)
+
+// ackingThirdSite is silentThirdSite with site 3 sending a bare
+// acknowledgement at the end of every round: its bridge stays derived and now
+// drains, so compaction is no longer held at the first operation it was sent.
+var ackingThirdSite = func() []byte {
+	round := (len(silentThirdSite) - 1) / 6
+	out := []byte{silentThirdSite[0]}
+	for i := 0; i < 6; i++ {
+		out = append(out, silentThirdSite[1+i*round:1+(i+1)*round]...)
+		out = append(out, 0x0b, 0x00) // site 3 acknowledges
+	}
+	return out
+}()
+
+// fuzzAck delivers a bare acknowledgement of everything site has integrated
+// to both notifiers — unless something of the site's is still queued upstream,
+// which an acknowledgement sent now would overtake. Code 3 used to be a second
+// "deliver to the client"; it stays a valid schedule byte.
+func fuzzAck(t *testing.T, fast, naive *fuzzWorld, site, step int) {
+	if len(fast.toServer[site]) > 0 {
+		return
+	}
+	t1 := fast.clients[site].SV().FromServer
+	if n := naive.clients[site].SV().FromServer; n != t1 {
+		t.Fatalf("step %d: site %d has integrated %d broadcasts in the fast world, %d in the naive", step, site, t1, n)
+	}
+	for _, w := range []*fuzzWorld{fast, naive} {
+		if err := w.srv.Ack(site, t1); err != nil {
+			t.Fatalf("step %d: ack %d from site %d: %v", step, t1, site, err)
+		}
+		if err := w.srv.CheckInvariants(); err != nil {
+			t.Fatalf("step %d: after ack from site %d: %v", step, site, err)
+		}
+	}
+}
 
 // fuzzGenerate builds one deterministic local operation from arg and queues
 // it toward the server; both worlds derive the identical op because their
@@ -288,7 +327,9 @@ func TestIntegrateEquivalenceSeeds(t *testing.T) {
 		lagged,
 		bytes.Repeat([]byte{0x00, 0x9b, 0x04, 0xa1, 0x01, 0x00, 0x02, 0x00, 0x06, 0x00}, 30),
 		silentThirdSite,
+		ackingThirdSite,
 	}
+	var pinned [2]int // history entries the third site holds when the schedule ends, silent and acking
 	for i, data := range schedules {
 		t.Run(fmt.Sprintf("schedule=%d", i), func(t *testing.T) {
 			n := 2 + int(data[0])%3
@@ -317,14 +358,19 @@ func TestIntegrateEquivalenceSeeds(t *testing.T) {
 					fuzzGenerate(t, naive, site, arg, step)
 				case 1:
 					fuzzDeliverServer(t, fast, naive, site, step)
-				default:
+				case 2:
 					fuzzDeliverClient(t, fast, naive, site, step)
+				default:
+					fuzzAck(t, fast, naive, site, step)
 				}
 				fuzzCompareWorlds(t, fast, naive, step)
 			}
+			if i >= 2 {
+				pinned[i-2] = fast.srv.BridgeLen(3)
+			}
 			fuzzDrain(t, fast, naive)
 			fuzzCompareWorlds(t, fast, naive, -1)
-			if i == 2 {
+			if i >= 2 {
 				for _, site := range []int{1, 2} {
 					if materialised[site] < 6 || dropped[site] < 6 {
 						t.Errorf("writer %d: bridge materialised %d times and dropped %d, want 6 rounds of each",
@@ -336,5 +382,8 @@ func TestIntegrateEquivalenceSeeds(t *testing.T) {
 				}
 			}
 		})
+	}
+	if pinned[0] != 30 || pinned[1]*2 > pinned[0] {
+		t.Errorf("the third site pins %d history entries silent and %d acknowledging, want all 30 and under half of them", pinned[0], pinned[1])
 	}
 }

@@ -82,12 +82,23 @@ type lazyWorld struct {
 	// four: the bridge toward it runs deep enough to build the composed cache.
 	laggard int
 	digest  hash.Hash64 // nil once past the schedules the parent digests cover
+	// outcome digests what an acknowledgement may never change: every
+	// arrival's timestamp, formula-(7) verdict and executed form, and every
+	// broadcast and presence relay. History-buffer length (CheckCount) and the
+	// transform count — an early acknowledgement settles the composed cache's
+	// deferred folds at a different moment — are left out.
+	outcome hash.Hash64
+	// acks, when non-nil, drives bare acknowledgements between the steps from
+	// its own source, so the schedule w.rng draws is the one a world without
+	// them runs.
+	acks *rand.Rand
 }
 
 func newLazyWorld(t *testing.T, seed int64, composeDepth int, opts []ServerOption) *lazyWorld {
 	w := &lazyWorld{
 		t: t, rng: rand.New(rand.NewSource(seed)), opts: opts, composeDepth: composeDepth,
 		srv:     NewServer("lazy bridge", opts...),
+		outcome: fnv.New64a(),
 		model:   eagerBridges{bridge: map[int][]bridgeOp{}, sent: map[int]uint64{}},
 		recv:    map[int]uint64{},
 		clients: map[int]*Client{},
@@ -206,6 +217,15 @@ func (w *lazyWorld) generate(site int) {
 	w.up[site] = append(w.up[site], m)
 }
 
+// record digests one relay or broadcast — the same with and without
+// acknowledgements, and the same as at the eager parent.
+func (w *lazyWorld) record(format string, args ...any) {
+	fmt.Fprintf(w.outcome, format, args...)
+	if w.digest != nil {
+		fmt.Fprintf(w.digest, format, args...)
+	}
+}
+
 func (w *lazyWorld) deliverUp(site int) {
 	head := w.up[site][0]
 	w.up[site] = w.up[site][1:]
@@ -215,9 +235,7 @@ func (w *lazyWorld) deliverUp(site int) {
 			w.t.Fatalf("presence from %d: %v", site, err)
 		}
 		w.model.ack(site, p.TS.T1)
-		if w.digest != nil {
-			fmt.Fprintf(w.digest, "P%d %v|", site, outs)
-		}
+		w.record("P%d %v|", site, outs)
 		return
 	}
 	m := head.(ClientMsg)
@@ -242,6 +260,7 @@ func (w *lazyWorld) deliverUp(site int) {
 	if w.composeDepth <= 0 && res.Transforms != depth {
 		w.t.Fatalf("op %v: %d transforms on the pairwise path, bridge depth %d", m.Ref, res.Transforms, depth)
 	}
+	fmt.Fprintf(w.outcome, "R%d %v %d %v|", site, m.TS, res.ConcurrentCount, res.Executed)
 	if w.digest != nil {
 		fmt.Fprintf(w.digest, "R%d %v %d/%d/%d|", site, m.TS, res.CheckCount, res.ConcurrentCount, res.Transforms)
 	}
@@ -255,10 +274,57 @@ func (w *lazyWorld) deliverUp(site int) {
 		if sm != want || !sm.Op.Equal(exec) {
 			w.t.Fatalf("op %v: broadcast %d is %+v (%v), want %+v (%v)", m.Ref, i, sm, sm.Op, want, exec)
 		}
-		if w.digest != nil {
-			fmt.Fprintf(w.digest, "%d %v %v %v %v|", sm.To, sm.TS, sm.Ref, sm.OrigRef, sm.Op)
-		}
+		w.record("%d %v %v %v %v|", sm.To, sm.TS, sm.Ref, sm.OrigRef, sm.Op)
 		w.down[d] = append(w.down[d], sm)
+	}
+}
+
+// ackSomeone has, one time in three, a joined site — writer or audience —
+// whose upstream link is empty report how far it has read: a bare
+// acknowledgement put on an empty link overtakes nothing, so delivering it on
+// the spot respects FIFO. A site that has integrated nothing since its last
+// operation sends a stale one, which must be ignored. The eager model receives
+// the same acknowledgement.
+func (w *lazyWorld) ackSomeone() {
+	if w.acks.Intn(3) != 0 {
+		return
+	}
+	idle := w.joined(func(s int) bool { return len(w.up[s]) == 0 })
+	if len(idle) == 0 {
+		return
+	}
+	site := idle[w.acks.Intn(len(idle))]
+	t1 := w.clients[site].SV().FromServer
+	if err := w.srv.Ack(site, t1); err != nil {
+		w.t.Fatalf("ack %d from site %d: %v", t1, site, err)
+	}
+	w.model.ack(site, t1)
+	w.compare()
+}
+
+// sameOutcome holds an acknowledging world to the world running the same
+// schedule without acknowledgements: everything executed and broadcast so far
+// is identical, and each bridge is the other world's with the acknowledged
+// prefix gone.
+func (w *lazyWorld) sameOutcome(plain *lazyWorld, when string) {
+	if got, want := w.outcome.Sum64(), plain.outcome.Sum64(); got != want {
+		w.t.Fatalf("%s: acknowledgements changed an arrival's outcome or a broadcast (digest %#x, without them %#x)", when, got, want)
+	}
+	if w.srv.History().Len() > plain.srv.History().Len() {
+		w.t.Fatalf("%s: history buffer holds %d entries with acknowledgements, %d without", when, w.srv.History().Len(), plain.srv.History().Len())
+	}
+	for site, want := range plain.model.bridge {
+		got, ok := w.model.bridge[site]
+		if !ok || len(got) > len(want) {
+			w.t.Fatalf("%s: site %d: bridge holds %d entries with acknowledgements, %d without", when, site, len(got), len(want))
+		}
+		want = want[len(want)-len(got):]
+		for i := range got {
+			if got[i].seq != want[i].seq || got[i].ref != want[i].ref || !got[i].op.Equal(want[i].op) {
+				w.t.Fatalf("%s: site %d: bridge entry %d is (%d %v %v), without acknowledgements (%d %v %v)", when, site, i,
+					got[i].seq, got[i].ref, got[i].op, want[i].seq, want[i].ref, want[i].op)
+			}
+		}
 	}
 }
 
@@ -337,7 +403,9 @@ var lazyRuns = flag.Int("lazyruns", 500, "TestLazyBridgeDifferential: random sch
 // TestLazyBridgeDifferential runs random schedules — writers, a silent
 // audience, presence, leave/rejoin, late join, checkpoint→restore — against
 // the eager model at every compaction cadence, with composition off and at
-// its default depth.
+// its default depth. Every schedule runs twice, once with writers and audience
+// acknowledging at random points in between: acknowledgements may shorten the
+// history buffer and the bridges, and nothing else.
 func TestLazyBridgeDifferential(t *testing.T) {
 	runs := *lazyRuns
 	if testing.Short() {
@@ -353,15 +421,20 @@ func TestLazyBridgeDifferential(t *testing.T) {
 				materialised := 0
 				for run := 0; run < runs; run++ {
 					w := newLazyWorld(t, int64(run), composeDepth, opts)
+					acked := newLazyWorld(t, int64(run), composeDepth, opts)
+					acked.acks = rand.New(rand.NewSource(int64(run) ^ 0xacc))
 					if run < parentDigestRuns {
 						w.digest = digest
 					}
 					steps := 60 + run%90
 					if run%10 == 0 { // a long session with one writer far behind
-						w.laggard, steps = 1, 4*steps
+						w.laggard, acked.laggard, steps = 1, 1, 4*steps
 					}
 					for i := 0; i < steps; i++ {
 						w.step()
+						acked.step()
+						acked.ackSomeone()
+						acked.sameOutcome(w, fmt.Sprintf("schedule %d step %d", run, i))
 						for _, st := range w.srv.clients {
 							if len(st.bridge) > 0 {
 								materialised++
@@ -369,6 +442,8 @@ func TestLazyBridgeDifferential(t *testing.T) {
 						}
 					}
 					w.drain()
+					acked.drain()
+					acked.sameOutcome(w, fmt.Sprintf("schedule %d drained", run))
 					if run+1 == parentDigestRuns {
 						if got, want := digest.Sum64(), parentDigests[name]; got != want {
 							t.Errorf("digest over %d schedules %#x, the eager parent produced %#x", parentDigestRuns, got, want)
@@ -380,6 +455,10 @@ func TestLazyBridgeDifferential(t *testing.T) {
 				}
 				if composeDepth > 0 && met.Get(trace.CCacheHits) == 0 {
 					t.Fatal("no schedule ever integrated through the composed cache")
+				}
+				if met.Get(trace.CAcksReceived) == 0 || met.Get(trace.CAcksStale) == 0 {
+					t.Fatalf("%d acknowledgements advanced a frontier and %d were stale, want some of each",
+						met.Get(trace.CAcksReceived), met.Get(trace.CAcksStale))
 				}
 			})
 		}

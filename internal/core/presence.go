@@ -47,6 +47,7 @@ type PresenceOut struct {
 // local coordinates.
 func (c *Client) Presence(anchor, head int, active bool) PresenceMsg {
 	n := c.buf.Len()
+	c.silent = 0 // the report's T1 acknowledges everything integrated so far
 	return PresenceMsg{
 		From:   c.site,
 		TS:     c.sv.Stamp(),
@@ -81,17 +82,13 @@ func (c *Client) MapIncomingSelection(anchor, head int) (int, int) {
 // acknowledges broadcasts (FIFO makes that sound), pruning the sender's
 // bridge.
 func (s *Server) RelayPresence(m PresenceMsg) ([]PresenceOut, error) {
-	st, ok := s.clients[m.From]
-	if !ok || !st.joined {
-		return nil, fmt.Errorf("%w: presence from unknown site %d", ErrBadMessage, m.From)
+	st, err := s.acker(m.From, m.TS.T1, "presence")
+	if err != nil {
+		return nil, err
 	}
 	if m.TS.T2 != s.sv.Of(m.From) {
 		return nil, fmt.Errorf("%w: site %d presence T2=%d but SV_0[%d]=%d (FIFO violated?)",
 			ErrBadMessage, m.From, m.TS.T2, m.From, s.sv.Of(m.From))
-	}
-	if m.TS.T1 > st.sent {
-		return nil, fmt.Errorf("%w: site %d presence acknowledges %d broadcasts, only %d sent",
-			ErrBadMessage, m.From, m.TS.T1, st.sent)
 	}
 	// Prune by the acknowledgement, then walk into server context. A
 	// materialised bridge is walked entry by entry, so any rebases the

@@ -10,24 +10,32 @@ import (
 // writers editors each keep inflight edits outstanding (they generate a
 // burst, the notifier takes the bursts round-robin, then every writer reads
 // its link dry), beside silent sites that are sent every broadcast and never
-// say anything — the read-mostly audience whose acknowledgements the notifier
-// never learns. Compaction runs at its default cadence.
-func fanoutReplay(tb testing.TB, writers, silent, inflight, ops int) *Server {
+// edit — the read-mostly audience. With acking off the audience is the peer
+// that predates bare acknowledgements: it has no replica here and the notifier
+// never learns what it received. With acking on every site integrates what it
+// is sent and reports its T1 when Client.TakeAck says one is due, as
+// repro.Editor does; the engine's invariants are checked after every one.
+// Compaction runs at its default cadence.
+func fanoutReplay(tb testing.TB, writers, silent, inflight, ops int, acking bool) *Server {
 	tb.Helper()
 	srv := NewServer("")
-	clients := make([]*Client, writers)
+	replicas := writers
+	if acking {
+		replicas += silent
+	}
+	clients := make([]*Client, replicas)
 	for site := 1; site <= writers+silent; site++ {
 		snap, err := srv.Join(site)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if site <= writers {
+		if site <= replicas {
 			clients[site-1] = NewClient(site, snap.Text)
 		}
 	}
 	queues := make([][]ClientMsg, writers)
 	for done := 0; done < ops; {
-		for w, c := range clients {
+		for w, c := range clients[:writers] {
 			for k := 0; k < inflight; k++ {
 				m, err := c.Insert(c.DocLen(), "x")
 				if err != nil {
@@ -38,14 +46,14 @@ func fanoutReplay(tb testing.TB, writers, silent, inflight, ops int) *Server {
 		}
 		var inbox []ServerMsg
 		for k := 0; k < inflight; k++ {
-			for w := range clients {
+			for w := range queues {
 				out, _, err := srv.Receive(queues[w][k])
 				if err != nil {
 					tb.Fatal(err)
 				}
 				done++
 				for _, sm := range out {
-					if sm.To <= writers {
+					if sm.To <= replicas {
 						inbox = append(inbox, sm)
 					}
 				}
@@ -55,8 +63,17 @@ func fanoutReplay(tb testing.TB, writers, silent, inflight, ops int) *Server {
 			queues[w] = queues[w][:0]
 		}
 		for _, sm := range inbox {
-			if _, err := clients[sm.To-1].Integrate(sm); err != nil {
+			c := clients[sm.To-1]
+			if _, err := c.Integrate(sm); err != nil {
 				tb.Fatal(err)
+			}
+			if t1, due := c.TakeAck(); due && acking {
+				if err := srv.Ack(sm.To, t1); err != nil {
+					tb.Fatal(err)
+				}
+				if err := srv.checkInvariants(); err != nil {
+					tb.Fatalf("after ack %d from site %d: %v", t1, sm.To, err)
+				}
 			}
 		}
 	}
@@ -78,15 +95,16 @@ func bridgeStorage(s *Server, writers int) (total, silent int) {
 // TestSilentSitesHoldNoBridge is the memory gate on the lazy bridge: what the
 // notifier stores per site is bounded by the writers' in-flight depth, and
 // neither the size of a silent audience nor the length of the run moves it.
-// The history buffer — which the audience does pin, until acknowledgements
-// exist (ROADMAP item 2) — and the operations themselves are excluded.
+// The history buffer — which an audience that never acknowledges does pin
+// (TestAckedAudienceBoundsHistory is the gate on one that does) — and the
+// operations themselves are excluded.
 func TestSilentSitesHoldNoBridge(t *testing.T) {
 	const writers, inflight = 4, 4
 	// A writer's bridge never outgrows the other writers' outstanding edits
 	// plus one round of its own lag; slice growth may double that.
 	const bound = writers * 2 * (writers * inflight)
 
-	audience := fanoutReplay(t, writers, 28, inflight, 20000)
+	audience := fanoutReplay(t, writers, 28, inflight, 20000, false)
 	if err := audience.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -103,39 +121,85 @@ func TestSilentSitesHoldNoBridge(t *testing.T) {
 		}
 	}
 
-	short, _ := bridgeStorage(fanoutReplay(t, writers, 28, inflight, 2000), writers)
+	short, _ := bridgeStorage(fanoutReplay(t, writers, 28, inflight, 2000, false), writers)
 	if short != total {
 		t.Fatalf("bridge storage %d entries after 2 000 edits, %d after 20 000: it scales with run length", short, total)
 	}
-	alone, _ := bridgeStorage(fanoutReplay(t, writers, 0, inflight, 20000), writers)
+	alone, _ := bridgeStorage(fanoutReplay(t, writers, 0, inflight, 20000, false), writers)
 	if diff := total - alone; diff*10 > alone || -diff*10 > alone {
 		t.Fatalf("bridge storage %d entries beside 28 silent sites, %d without them: more than 10%% apart", total, alone)
+	}
+}
+
+// TestAckedAudienceBoundsHistory is the memory gate on bare acknowledgements:
+// with every site reporting its T1 once per AckEvery integrations, what the
+// notifier's history buffer holds is bounded by the compaction cadence, the
+// acknowledgement interval and the writers' in-flight depth — flat in the
+// length of the run and in the size of the audience. Both run lengths are
+// whole numbers of compaction rounds so they stop at the same phase.
+func TestAckedAudienceBoundsHistory(t *testing.T) {
+	const writers, inflight = 4, 4
+	const bound = 64 + AckEvery + writers*inflight
+	hbLen := func(silent, ops int, acking bool) int {
+		t.Helper()
+		srv := fanoutReplay(t, writers, silent, inflight, ops, acking)
+		if err := srv.checkInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		return srv.History().Len()
+	}
+	long := hbLen(28, 20480, true)
+	if long == 0 || long > bound {
+		t.Fatalf("history buffer holds %d entries after 20 480 edits beside 28 acknowledging sites, want within (0, %d]", long, bound)
+	}
+	if short := hbLen(28, 2048, true); short != long {
+		t.Fatalf("history buffer holds %d entries after 2 048 edits, %d after 20 480: it scales with run length", short, long)
+	}
+	if wide := hbLen(124, 2048, true); wide != long {
+		t.Fatalf("history buffer holds %d entries beside 124 acknowledging sites, %d beside 28: it scales with the audience", wide, long)
+	}
+	// Writers acknowledge with every edit, so on their own they pin less than
+	// an audience that reports once per AckEvery integrations — never more.
+	if alone := hbLen(0, 2048, true); alone == 0 || alone > long {
+		t.Fatalf("history buffer holds %d entries with no audience, %d beside 28 acknowledging sites", alone, long)
+	}
+	if pinned := hbLen(28, 2048, false); pinned != 2048 {
+		t.Fatalf("history buffer holds %d entries beside 28 sites that never acknowledge, want all 2 048", pinned)
 	}
 }
 
 // BenchmarkServerRetainedBytes sizes what a notifier still holds after the
 // fanout shape, per operation it executed, as the silent audience grows. With
 // N = writers every operation is acknowledged and compacted away and only the
-// document remains; any silent site pins the whole history buffer, and with
-// every operation stored once the figure is then flat in N (O(HB) words plus
-// an O(N) state vector) — one bridge entry per silent site added 32 bytes per
-// site to it.
+// document remains; a silent site that never acknowledges pins the whole
+// history buffer, and with every operation stored once the figure is then flat
+// in N (O(HB) words plus an O(N) state vector) — one bridge entry per silent
+// site added 32 bytes per site to it. The acked variants give the audience
+// replicas that report their T1 as repro.Editor does: the buffer stays at a
+// few compaction rounds and the figure returns to the document's.
 func BenchmarkServerRetainedBytes(b *testing.B) {
 	const writers, inflight, ops = 4, 4, 40000
-	for _, n := range []int{4, 32, 128} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			var ms runtime.MemStats
-			for i := 0; i < b.N; i++ {
-				runtime.GC()
-				runtime.ReadMemStats(&ms)
-				before := ms.HeapAlloc
-				srv := fanoutReplay(b, writers, n-writers, inflight, ops)
-				runtime.GC()
-				runtime.ReadMemStats(&ms)
-				b.ReportMetric(float64(ms.HeapAlloc-before)/ops, "bytes/op-retained")
-				runtime.KeepAlive(srv)
+	for _, acking := range []bool{false, true} {
+		for _, n := range []int{4, 32, 128} {
+			name := fmt.Sprintf("N=%d", n)
+			if acking {
+				name += "/acked"
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				var ms runtime.MemStats
+				for i := 0; i < b.N; i++ {
+					runtime.GC()
+					runtime.ReadMemStats(&ms)
+					before := ms.HeapAlloc
+					srv := fanoutReplay(b, writers, n-writers, inflight, ops, acking)
+					runtime.GC()
+					runtime.ReadMemStats(&ms)
+					b.ReportMetric(float64(ms.HeapAlloc-before)/ops, "bytes/op-retained")
+					b.ReportMetric(float64(srv.History().Len()), "hb_len")
+					runtime.KeepAlive(srv)
+				}
+			})
+		}
 	}
 }
 

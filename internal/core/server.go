@@ -87,7 +87,8 @@ type clientState struct {
 	// sent counts broadcasts to this client; equals SumExcept(site) −
 	// baseline at all times (asserted in tests).
 	sent uint64
-	// acked is the highest T1 received from this client.
+	// acked is the highest T1 received from this client — on an operation, a
+	// presence report or a bare acknowledgement (Server.Ack).
 	acked uint64
 	// bridge is the materialised form of the site's pending broadcasts
 	// (index acked+1 … sent). By DESIGN.md §4 that set is the history
@@ -284,13 +285,18 @@ func NewServer(initial string, opts ...ServerOption) *Server {
 	if s.buf == nil {
 		s.buf = doc.NewRope(initial)
 	}
-	// Pre-create the cache counters so an attached registry exposes the
-	// full catalogue deterministically, not only after the first deep
-	// bridge (TestMetricsCatalog locks the exact name set).
-	s.count(trace.CCacheHits, 0)
-	s.count(trace.CCacheMisses, 0)
-	s.count(trace.CComposes, 0)
+	s.warmCounters()
 	return s
+}
+
+// warmCounters pre-creates the counters that only some sessions ever bump, so
+// an attached registry exposes the full catalogue deterministically — not only
+// after the first deep bridge or the first bare acknowledgement
+// (TestMetricsCatalog locks the exact name set).
+func (s *Server) warmCounters() {
+	for _, name := range [...]string{trace.CCacheHits, trace.CCacheMisses, trace.CComposes, trace.CAcksReceived, trace.CAcksStale} {
+		s.count(name, 0)
+	}
 }
 
 // Mode returns the operating mode.
@@ -401,9 +407,8 @@ func (s *Server) destinations() []destRef {
 // accepted by Receive (absent engine bugs) — persistence layers use this to
 // write-ahead-log only acceptable operations.
 func (s *Server) Precheck(m ClientMsg) error {
-	st, ok := s.clients[m.From]
-	if !ok || !st.joined {
-		return fmt.Errorf("%w: operation from unknown site %d", ErrBadMessage, m.From)
+	if _, err := s.acker(m.From, m.TS.T1, "operation"); err != nil {
+		return err
 	}
 	if m.Op == nil {
 		return fmt.Errorf("%w: nil op from site %d", ErrBadMessage, m.From)
@@ -412,10 +417,44 @@ func (s *Server) Precheck(m ClientMsg) error {
 		return fmt.Errorf("%w: site %d op T2=%d but SV_0[%d]=%d (FIFO violated?)",
 			ErrBadMessage, m.From, m.TS.T2, m.From, s.sv.Of(m.From))
 	}
-	if m.TS.T1 > st.sent {
-		return fmt.Errorf("%w: site %d acknowledges %d broadcasts, only %d sent",
-			ErrBadMessage, m.From, m.TS.T1, st.sent)
+	return nil
+}
+
+// acker returns the state of a site that may acknowledge t1 broadcasts: it
+// must be joined, and it cannot have received more than it was sent. Every
+// carrier of a T1 — operation, presence report, bare acknowledgement — passes
+// through here; what names the carrier in the error.
+func (s *Server) acker(site int, t1 uint64, what string) (*clientState, error) {
+	st, ok := s.clients[site]
+	if !ok || !st.joined {
+		return nil, fmt.Errorf("%w: %s from unknown site %d", ErrBadMessage, what, site)
 	}
+	if t1 > st.sent {
+		return nil, fmt.Errorf("%w: site %d %s acknowledges %d broadcasts, only %d sent",
+			ErrBadMessage, site, what, t1, st.sent)
+	}
+	return st, nil
+}
+
+// Ack records a bare acknowledgement: site has integrated the first t1
+// broadcasts sent to it and has nothing else to say. It is validated like the
+// T1 of an operation and advances the same frontier through the same entry
+// point, only earlier than the site's next operation would have — so it
+// changes what the next Compact may drop, never what is executed or
+// broadcast. An acknowledgement at or below the known frontier is ignored.
+func (s *Server) Ack(site int, t1 uint64) error {
+	st, err := s.acker(site, t1, "acknowledgement")
+	if err != nil {
+		return err
+	}
+	if t1 <= st.acked {
+		s.count(trace.CAcksStale, 1)
+		return nil
+	}
+	if _, err := st.ack(t1); err != nil {
+		return fmt.Errorf("core: ack transform: %w", err)
+	}
+	s.count(trace.CAcksReceived, 1)
 	return nil
 }
 

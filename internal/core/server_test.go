@@ -8,6 +8,7 @@ import (
 	"repro/internal/causal"
 	"repro/internal/doc"
 	"repro/internal/op"
+	"repro/internal/trace"
 )
 
 func join(t *testing.T, srv *Server, site int, opts ...ClientOption) *Client {
@@ -436,6 +437,94 @@ func TestServerCompactionRespectsLaggard(t *testing.T) {
 	}
 	if srv.History().Len() != 10 {
 		t.Fatalf("HB len %d", srv.History().Len())
+	}
+}
+
+// TestBareAckFreesLaggardsHistory continues the laggard case: site 2 still
+// writes nothing, but once it reports what it has read the same compaction
+// drops exactly that much. What cannot be true is refused — more than was
+// sent, a site that never joined, one that left — and what is merely late is
+// ignored and counted.
+func TestBareAckFreesLaggardsHistory(t *testing.T) {
+	met := trace.NewMetrics()
+	srv := NewServer("", WithServerCompaction(0), WithServerMetrics(met))
+	c1 := join(t, srv, 1)
+	c2 := join(t, srv, 2)
+	var inbox []ServerMsg
+	for i := 0; i < 10; i++ {
+		m, err := c1.Insert(0, "x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _, err := srv.Receive(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inbox = append(inbox, out...)
+	}
+	for _, sm := range inbox[:7] {
+		if _, err := c2.Integrate(sm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, due := c2.TakeAck(); due {
+		t.Fatalf("an acknowledgement is due after 7 integrations, want after %d", AckEvery)
+	}
+	for _, bad := range []struct {
+		site int
+		t1   uint64
+	}{{2, 11}, {3, 0}, {0, 0}} {
+		if err := srv.Ack(bad.site, bad.t1); !errors.Is(err, ErrBadMessage) {
+			t.Fatalf("Ack(%d, %d) = %v, want ErrBadMessage", bad.site, bad.t1, err)
+		}
+	}
+	if err := srv.Ack(2, c2.SV().FromServer); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if n := srv.Compact(); n != 7 || srv.History().Len() != 3 || srv.BridgeLen(2) != 3 {
+		t.Fatalf("compacted %d entries after site 2 acknowledged 7, leaving %d (bridge %d); want 7, 3, 3",
+			n, srv.History().Len(), srv.BridgeLen(2))
+	}
+	for _, t1 := range []uint64{7, 4} { // a duplicate, and one from before it
+		if err := srv.Ack(2, t1); err != nil || srv.BridgeLen(2) != 3 {
+			t.Fatalf("stale Ack(2, %d) = %v, bridge %d; want ignored", t1, err, srv.BridgeLen(2))
+		}
+	}
+	if got, stale := met.Get(trace.CAcksReceived), met.Get(trace.CAcksStale); got != 1 || stale != 2 {
+		t.Fatalf("acks.received = %d, acks.stale = %d; want 1 and 2", got, stale)
+	}
+	if err := srv.Leave(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Ack(2, 8); !errors.Is(err, ErrBadMessage) {
+		t.Fatalf("ack from a site that left: %v, want ErrBadMessage", err)
+	}
+	// The operation that follows an acknowledgement carries a T1 at or past
+	// it and integrates as if the acknowledgement had never been sent.
+	c3 := join(t, srv, 3)
+	m, err := c1.Insert(0, "y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _, err := srv.Receive(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c3.Integrate(out[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Ack(3, 1); err != nil {
+		t.Fatal(err)
+	}
+	m3, err := c3.Insert(0, "z")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, res, err := srv.Receive(m3); err != nil || res.ConcurrentCount != 0 || srv.Text() != c3.Text() {
+		t.Fatalf("operation after an acknowledgement: %v, %d concurrent, notifier %q, site %q", err, res.ConcurrentCount, srv.Text(), c3.Text())
 	}
 }
 

@@ -1,12 +1,15 @@
 package server_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"repro"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/server"
+	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/transport/netpoll"
 	"repro/internal/wire"
@@ -141,10 +144,20 @@ func TestProtocolConformance(t *testing.T) {
 		{name: "unknown message", join: wire.SessionJoinReq{Session: doc}, offend: func(site, other int, snap wire.JoinResp) wire.Msg {
 			return wire.JoinResp{Site: site}
 		}},
+		{name: "ack before join", offend: func(int, int, wire.JoinResp) wire.Msg {
+			return wire.Ack{From: 1}
+		}},
+		{name: "ack with another site's id", join: wire.SessionJoinReq{Session: doc}, offend: func(site, other int, snap wire.JoinResp) wire.Msg {
+			return wire.Ack{From: other}
+		}},
+		{name: "ack of more than was sent", join: wire.SessionJoinReq{Session: doc}, offend: func(site, other int, snap wire.JoinResp) wire.Msg {
+			return wire.Ack{From: site, T1: 1} // nothing has been broadcast to a site that just joined
+		}},
 	}
 	for _, k := range readerKinds() {
 		t.Run(k.name, func(t *testing.T) {
-			mgr, dial := startKind(t, k)
+			reg := obs.NewRegistry("conformance")
+			mgr, dial := startKind(t, k, server.WithObservability(reg))
 			var eds []*repro.Editor
 			for i := 0; i < 2; i++ {
 				conn, err := dial()
@@ -211,6 +224,49 @@ func TestProtocolConformance(t *testing.T) {
 					}
 				})
 			}
+
+			// What is not a violation: a viewer — refused only operations —
+			// acknowledges the one broadcast it was sent, and a duplicate of
+			// that acknowledgement is ignored. Both are counted on the
+			// session's registry child and the connection stays up; a third
+			// claiming a broadcast that was never sent ends it.
+			t.Run("acks from a viewer", func(t *testing.T) {
+				acks := func() (received, stale int64) {
+					child, _ := reg.Snapshot().Child(doc)
+					return child.Counters[trace.CAcksReceived], child.Counters[trace.CAcksStale]
+				}
+				wasReceived, wasStale := acks()
+				conn, snap := rawJoin(t, dial, wire.SessionJoinReq{Session: doc, ReadOnly: true})
+				defer conn.Close()
+				if err := eds[0].Insert(0, "v"); err != nil {
+					t.Fatal(err)
+				}
+				m, err := conn.Recv()
+				if so, ok := m.(wire.ServerOp); err != nil || !ok || so.TS.T1 != 1 {
+					t.Fatalf("viewer received %+v (%v), want the first broadcast toward it", m, err)
+				}
+				for i, want := range [][2]int64{{1, 0}, {1, 1}} {
+					if err := conn.Send(wire.Ack{From: snap.Site, T1: 1}); err != nil {
+						t.Fatal(err)
+					}
+					eventually(t, func() bool {
+						received, stale := acks()
+						return received-wasReceived == want[0] && stale-wasStale == want[1]
+					}, func() string {
+						received, stale := acks()
+						return fmt.Sprintf("after ack %d: acks.received +%d, acks.stale +%d; want +%d, +%d",
+							i+1, received-wasReceived, stale-wasStale, want[0], want[1])
+					})
+				}
+				if got := len(sess.Sites()); got != len(eds)+1 {
+					t.Fatalf("%d sites after the viewer acknowledged, want %d: acknowledging retired it", got, len(eds)+1)
+				}
+				if err := conn.Send(wire.Ack{From: snap.Site, T1: 2}); err != nil {
+					t.Fatal(err)
+				}
+				expectRetired(t, conn)
+				waitConverged(t, eds, "v"+want)
+			})
 		})
 	}
 }

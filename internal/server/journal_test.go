@@ -1,7 +1,9 @@
 package server_test
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -10,7 +12,9 @@ import (
 	"repro"
 	"repro/internal/core"
 	"repro/internal/journal"
+	"repro/internal/obs"
 	"repro/internal/server"
+	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -63,12 +67,14 @@ func TestCrashRestartFromJournals(t *testing.T) {
 		mgr  *server.Manager
 		svc  *server.Service
 		dial func() (transport.Conn, error)
+		reg  *obs.Registry
 	}
 	start := func() life {
 		ln := transport.NewMemListener()
-		mgr := journaledManager(dir, server.WithIdleDehydrate(2*time.Millisecond))
+		reg := obs.NewRegistry("life")
+		mgr := journaledManager(dir, server.WithIdleDehydrate(2*time.Millisecond), server.WithObservability(reg))
 		svc := server.Serve(ln, mgr, server.WithWriterPool(-1), server.WithEventDispatch(-1))
-		return life{mgr, svc, ln.Dial}
+		return life{mgr, svc, ln.Dial, reg}
 	}
 	connect := func(l life, name string, site int) *repro.Editor {
 		t.Helper()
@@ -84,16 +90,21 @@ func TestCrashRestartFromJournals(t *testing.T) {
 	}
 
 	// First life: two editors per document, interleaved bursts with
-	// park-sized gaps.
+	// park-sized gaps, and a third that only reads — through enough rounds
+	// that it integrates core.AckEvery operations twice over and sends two
+	// bare acknowledgements, which the journal must not notice.
+	const rounds, perRound = 14, 5
 	l1 := start()
 	eds := map[string][2]*repro.Editor{}
+	readers := map[string]*repro.Editor{}
 	for _, name := range names {
 		eds[name] = [2]*repro.Editor{connect(l1, name, 0), connect(l1, name, 0)}
+		readers[name] = connect(l1, name, 0)
 	}
-	for round := 0; round < 6; round++ {
+	for round := 0; round < rounds; round++ {
 		for _, name := range names {
 			for i, ed := range eds[name] {
-				for k := 0; k < 5; k++ {
+				for k := 0; k < perRound; k++ {
 					if err := ed.Insert(0, fmt.Sprintf("%d", i)); err != nil {
 						t.Fatal(err)
 					}
@@ -116,20 +127,32 @@ func TestCrashRestartFromJournals(t *testing.T) {
 			t.Fatalf("session %q missing", name)
 		}
 		pair := eds[name]
-		waitCounts(t, sess, pair[0], pair[1])
+		waitCounts(t, sess, pair[0], pair[1], readers[name])
 		received, _ := sess.Counts()
 		was[name] = before{sess.Text(), [2]int{pair[0].Site(), pair[1].Site()}, received}
-		if got := len(sess.Text()); got != len("base")+60 {
-			t.Fatalf("session %q holds %d runes before the crash, want %d", name, got, len("base")+60)
+		if got, want := len(sess.Text()), len("base")+2*rounds*perRound; got != want {
+			t.Fatalf("session %q holds %d runes before the crash, want %d", name, got, want)
 		}
 	}
+	// A reader's acknowledgement follows its 64th and 128th integration on its
+	// own link, so the last may still be in flight; the crash waits for all six.
+	acks := func() (n int64) {
+		for _, child := range l1.reg.Snapshot().Children {
+			n += child.Counters[trace.CAcksReceived]
+		}
+		return n
+	}
+	eventually(t, func() bool { return acks() == int64(2*len(names)) }, func() string {
+		return fmt.Sprintf("%d bare acknowledgements reached the notifier before the crash, want %d", acks(), 2*len(names))
+	})
 	// The crash: the sessions (and their journals) go first, so no
 	// connection gets to record its leave — the state kill -9 leaves behind.
 	_ = l1.mgr.Close()
 	_ = l1.svc.Close()
-	for _, pair := range eds {
+	for name, pair := range eds {
 		_ = pair[0].Close()
 		_ = pair[1].Close()
+		_ = readers[name].Close()
 	}
 	for _, name := range names {
 		if _, _, err := journal.Replay(server.JournalFiles(filepath.Join(dir, "j"))(name), "base"); err != nil {
@@ -179,6 +202,74 @@ func TestCrashRestartFromJournals(t *testing.T) {
 		if want := "(recovered) " + b.text; c.Text() != want || sess.Text() != want {
 			t.Fatalf("session %q after recovery: editor %q, notifier %q, want %q", name, c.Text(), sess.Text(), want)
 		}
+	}
+}
+
+// TestJournalBlindToAcks drives one journaled session through the same
+// operations twice, the second time with the two silent sites acknowledging —
+// on time, late, and twice — in between. An acknowledgement changes what the
+// engine retains and never what it executes, so it is not a journal record:
+// the two files must be byte-identical, while the acknowledged session's
+// history buffer stays short and the silent one's holds the whole run.
+func TestJournalBlindToAcks(t *testing.T) {
+	const ops = 300
+	run := func(acking bool) (journalBytes []byte, hbLen int64) {
+		t.Helper()
+		dir := t.TempDir()
+		reg := obs.NewRegistry("journal")
+		mgr := journaledManager(dir, server.WithObservability(reg))
+		sess, err := mgr.GetOrCreate("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for site := 1; site <= 3; site++ {
+			if _, err := sess.Join(site, server.Subscriber{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		writer := core.NewClient(1, "base")
+		for i := 1; i <= ops; i++ {
+			m, err := writer.Insert(0, "x")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sess.Receive(m); err != nil {
+				t.Fatal(err)
+			}
+			if !acking || i%16 != 0 {
+				continue
+			}
+			// Site 2 is up to date, site 3 a round behind and repeats itself.
+			for _, ack := range [][2]int{{2, i}, {3, i - 16}, {3, i - 16}} {
+				if err := sess.Ack(ack[0], uint64(ack[1])); err != nil {
+					t.Fatalf("ack %v: %v", ack, err)
+				}
+			}
+		}
+		child, _ := reg.Snapshot().Child("(default)")
+		hbLen = child.Gauges[obs.GHBLen]
+		if acking && (child.Counters[trace.CAcksReceived] == 0 || child.Counters[trace.CAcksStale] == 0) {
+			t.Fatalf("counters %v: want acknowledgements received and stale", child.Counters)
+		}
+		if err := mgr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		journalBytes, err = os.ReadFile(filepath.Join(dir, "j"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if srv, n, err := journal.Replay(filepath.Join(dir, "j"), "base"); err != nil || n != 3+ops || srv.Text() != writer.Text() {
+			t.Fatalf("journal replays %d records (%v), want %d and the writer's document", n, err, 3+ops)
+		}
+		return journalBytes, hbLen
+	}
+	silent, silentHB := run(false)
+	acked, ackedHB := run(true)
+	if !bytes.Equal(silent, acked) {
+		t.Fatalf("journal is %d bytes without acknowledgements and %d with: an acknowledgement reached it", len(silent), len(acked))
+	}
+	if silentHB != ops || ackedHB > 64+16+16 {
+		t.Fatalf("hb.len %d without acknowledgements and %d with, want %d and at most a compaction round past the laggard", silentHB, ackedHB, ops)
 	}
 }
 

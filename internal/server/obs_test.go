@@ -53,6 +53,16 @@ func TestMetricsCatalog(t *testing.T) {
 		}
 	}
 	waitConverged(t, []*repro.Editor{e1, e2}, strings.Repeat("x", 65))
+	// e2 only reads: its 64th integration owes the notifier a bare
+	// acknowledgement, which arrives on its own link some time after the text
+	// converged.
+	acks := func() int64 {
+		child, _ := reg.Snapshot().Child("doc")
+		return child.Counters[trace.CAcksReceived]
+	}
+	eventually(t, func() bool { return acks() == 1 }, func() string {
+		return fmt.Sprintf("acks.received = %d after a silent site integrated 65 operations, want 1", acks())
+	})
 
 	snap := reg.Snapshot()
 
@@ -66,7 +76,7 @@ func TestMetricsCatalog(t *testing.T) {
 		obs.CPollerShard0Wakeups, obs.CPollerShard1Wakeups,
 		obs.CPollerShard2Wakeups, obs.CPollerShard3Wakeups,
 	}
-	for ty := wire.TClientOp; ty <= wire.TOpBatch; ty++ {
+	for ty := wire.TClientOp; ty <= wire.TAck; ty++ {
 		wantRoot = append(wantRoot,
 			"wire.frames."+wire.TypeName(ty),
 			"wire.bytes."+wire.TypeName(ty))
@@ -100,6 +110,7 @@ func TestMetricsCatalog(t *testing.T) {
 		trace.COpsIntegrated, trace.CConcurrencyChecks, trace.CConcurrentPairs,
 		trace.CTransforms, trace.CCompactions, trace.CCompacted,
 		trace.CCacheHits, trace.CCacheMisses, trace.CComposes,
+		trace.CAcksReceived, trace.CAcksStale,
 	})
 	assertNames(t, "session gauges", sess.Gauges, []string{
 		obs.GSites, obs.GOpsRecv, obs.GDocRunes, obs.GHBLen, obs.GClockWords,
@@ -115,6 +126,10 @@ func TestMetricsCatalog(t *testing.T) {
 	}
 	if sess.Counters[trace.COpsIntegrated] != 65 {
 		t.Errorf("ops.integrated = %d, want 65", sess.Counters[trace.COpsIntegrated])
+	}
+	if snap.Counters["wire.frames.ack"] == 0 || sess.Counters[trace.CAcksStale] != 0 {
+		t.Errorf("wire.frames.ack = %d, acks.stale = %d; want the one ack framed and none stale",
+			snap.Counters["wire.frames.ack"], sess.Counters[trace.CAcksStale])
 	}
 	// The mem transport still counts sender drains, but no TCP bytes flow.
 	if snap.Counters[obs.CSenderMsgs] == 0 {

@@ -39,6 +39,16 @@ func waitConverged(t *testing.T, eds []*repro.Editor, want string) {
 	}
 }
 
+// eventually polls cond until it holds, failing with what() after 10 s.
+func eventually(t *testing.T, cond func() bool, what func() string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal(what())
+		}
+	}
+}
+
 // TestManagerConcurrentGetOrCreate hammers the copy-on-write registry from
 // many goroutines and checks every name resolves to exactly one session.
 func TestManagerConcurrentGetOrCreate(t *testing.T) {

@@ -308,6 +308,11 @@ func (cs *connState) handleMsg(m wire.Msg) bool {
 		return cs.sess.RelayPresence(core.PresenceMsg{
 			From: v.From, TS: v.TS, Anchor: v.Anchor, Head: v.Head, Active: v.Active,
 		}) == nil
+	case wire.Ack:
+		if v.From != cs.site {
+			return false
+		}
+		return cs.sess.Ack(v.From, v.T1) == nil
 	case wire.Leave:
 		return false
 	default:

@@ -657,6 +657,18 @@ func (s *Session) RelayPresence(m core.PresenceMsg) error {
 	return err
 }
 
+// Ack records a site's bare acknowledgement (core.Server.Ack). A viewer may
+// send one. It is never journaled: an acknowledgement changes what the engine
+// retains, not what it executes, so a replayed journal reaches the same
+// document with a lower frontier — and every site rejoins from a snapshot.
+func (s *Session) Ack(site int, t1 uint64) error {
+	var err error
+	if derr := s.do(func() { err = s.srv.Ack(site, t1) }); derr != nil {
+		return derr
+	}
+	return err
+}
+
 // Text returns the session's current document.
 func (s *Session) Text() string {
 	var text string

@@ -98,4 +98,10 @@ const (
 	CCompactions = "hb.compactions"
 	// CCompacted counts history-buffer entries removed by compaction.
 	CCompacted = "hb.compacted"
+	// CAcksReceived counts bare acknowledgements that advanced a site's
+	// acknowledged frontier at the notifier.
+	CAcksReceived = "acks.received"
+	// CAcksStale counts bare acknowledgements at or below the frontier the
+	// notifier already knew (duplicates; ignored).
+	CAcksStale = "acks.stale"
 )

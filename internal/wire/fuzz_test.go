@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/causal"
@@ -19,6 +20,8 @@ func FuzzDecode(f *testing.F) {
 		JoinReq{Site: 3},
 		JoinResp{Site: 3, Text: "hello 日本", LocalOps: 7},
 		Leave{Site: 1},
+		Ack{},
+		Ack{From: 5, T1: math.MaxUint64},
 		ClientOp{From: 2, TS: core.Timestamp{T1: 9, T2: 4}, Ref: causal.OpRef{Site: 2, Seq: 4}, Op: o},
 		ServerOp{To: 1, TS: core.Timestamp{T1: 3, T2: 1}, Ref: causal.OpRef{Site: 0, Seq: 2},
 			OrigRef: causal.OpRef{Site: 2, Seq: 1}, Op: o},
@@ -42,6 +45,13 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{byte(TOpBatch), 0})
 	f.Add([]byte{byte(TOpBatch), 0xFF, 0xFF, 0x03})
 	f.Add([]byte{byte(TOpBatch), 2, 1, 1, 1})
+
+	// Malformed acks: T1 missing, T1 cut mid-varint, a trailing byte, and the
+	// trace bit on a type that carries no operation.
+	f.Add([]byte{byte(TAck), 5})
+	f.Add([]byte{byte(TAck), 5, 0xFF, 0xFF})
+	f.Add([]byte{byte(TAck), 5, 64, 0})
+	f.Add([]byte{byte(TAck | traceBit), 5, 64})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)

@@ -13,8 +13,8 @@ import (
 // harnesses use the body codec (Append) directly and deliberately do not
 // count here — these counters mean "bytes toward peers".
 var (
-	encFrames [TOpBatch + 1]atomic.Uint64
-	encBytes  [TOpBatch + 1]atomic.Uint64
+	encFrames [lastType + 1]atomic.Uint64
+	encBytes  [lastType + 1]atomic.Uint64
 
 	// encOps counts server operations framed toward destinations: a
 	// TServerOp frame adds 1, a TOpBatch frame of K operations adds K. The
@@ -72,6 +72,8 @@ func TypeName(t MsgType) string {
 		return "session_join_req"
 	case TOpBatch:
 		return "op_batch"
+	case TAck:
+		return "ack"
 	}
 	return "unknown"
 }
@@ -82,7 +84,7 @@ func TypeName(t MsgType) string {
 func RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc(obs.CWireEncodes, func() int64 { return int64(ServerOpEncodes()) })
 	r.CounterFunc(obs.CWireOps, func() int64 { return int64(OpsSent()) })
-	for t := TClientOp; t <= TOpBatch; t++ {
+	for t := TClientOp; t <= lastType; t++ {
 		t := t
 		r.CounterFunc("wire.frames."+TypeName(t), func() int64 { return int64(EncodedFrames(t)) })
 		r.CounterFunc("wire.bytes."+TypeName(t), func() int64 { return int64(EncodedBytes(t)) })

@@ -67,6 +67,13 @@ const (
 	// TOpBatch carries several consecutive notifier → client operations in
 	// one frame, amortizing framing and flushes across a keystroke burst.
 	TOpBatch MsgType = 9
+	// TAck is a client → notifier bare acknowledgement: the T1 of a site that
+	// has integrated broadcasts but sent nothing carrying a timestamp since.
+	TAck MsgType = 10
+
+	// lastType is the highest assigned message type; the per-type frame
+	// counters and their catalogue rows span TClientOp … lastType.
+	lastType = TAck
 )
 
 // traceBit marks an op-carrying frame (TClientOp, TServerOp, TOpBatch) that
@@ -159,6 +166,18 @@ type Leave struct {
 }
 
 func (Leave) msgType() MsgType { return TLeave }
+
+// Ack reports that site From has integrated the first T1 broadcasts sent to
+// it — the T1 its next operation would carry, sent on its own by a site that
+// has had nothing else to say for a while, so the notifier can garbage-collect
+// its history buffer under a read-mostly audience. Constant size, never
+// required, never journaled.
+type Ack struct {
+	From int
+	T1   uint64
+}
+
+func (Ack) msgType() MsgType { return TAck }
 
 // Presence is a client → notifier cursor/selection report in local
 // coordinates, stamped with the sender's current (un-incremented) state
@@ -265,6 +284,9 @@ func Append(b []byte, m Msg) ([]byte, error) {
 		return binary.AppendUvarint(b, v.LocalOps), nil
 	case Leave:
 		return binary.AppendUvarint(b, uint64(v.Site)), nil
+	case Ack:
+		b = binary.AppendUvarint(b, uint64(v.From))
+		return binary.AppendUvarint(b, v.T1), nil
 	case Presence:
 		b = binary.AppendUvarint(b, uint64(v.From))
 		b = appendTimestamp(b, v.TS)
@@ -342,6 +364,10 @@ func Decode(body []byte) (Msg, error) {
 		return m, d.finish()
 	case TLeave:
 		m := Leave{Site: int(d.uvarint())}
+		return m, d.finish()
+	case TAck:
+		m := Ack{From: int(d.uvarint())}
+		m.T1 = d.uvarint()
 		return m, d.finish()
 	case TPresence:
 		m := Presence{From: int(d.uvarint())}

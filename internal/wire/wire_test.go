@@ -66,12 +66,49 @@ func TestControlMessagesRoundTrip(t *testing.T) {
 	if got := roundTrip(t, Leave{Site: 9}).(Leave); got.Site != 9 {
 		t.Fatalf("leave: %+v", got)
 	}
+	if got := roundTrip(t, Ack{From: 9, T1: 300}).(Ack); got != (Ack{From: 9, T1: 300}) {
+		t.Fatalf("ack: %+v", got)
+	}
 	sj := roundTrip(t, SessionJoinReq{Session: "docs/α", Site: 7, ReadOnly: true}).(SessionJoinReq)
 	if sj.Session != "docs/α" || sj.Site != 7 || !sj.ReadOnly {
 		t.Fatalf("session join req: %+v", sj)
 	}
 	if got := roundTrip(t, SessionJoinReq{}).(SessionJoinReq); got.Session != "" || got.Site != 0 || got.ReadOnly {
 		t.Fatalf("empty session join req: %+v", got)
+	}
+}
+
+// TestAckLayout pins the tenth message: type byte 10 and two uvarints, so a
+// site that has integrated fewer than 128 broadcasts acknowledges them in a
+// four-byte frame; the trace bit, which only op-carrying frames may set, makes
+// it an unknown type; and its frames are counted under their own name.
+func TestAckLayout(t *testing.T) {
+	body, err := Append(nil, Ack{From: 3, T1: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []byte{10, 3, 64}; !bytes.Equal(body, want) {
+		t.Fatalf("ack body % x, want % x", body, want)
+	}
+	frames, wireBytes := EncodedFrames(TAck), EncodedBytes(TAck)
+	frame, err := AppendFrame(nil, Ack{From: 3, T1: 64})
+	if err != nil || len(frame) != 4 {
+		t.Fatalf("ack frame % x (%v), want 4 bytes", frame, err)
+	}
+	if df, db := EncodedFrames(TAck)-frames, EncodedBytes(TAck)-wireBytes; df != 1 || db != 4 {
+		t.Fatalf("one ack frame counted as %d frames / %d bytes under %q", df, db, TypeName(TAck))
+	}
+	if TypeName(lastType) != "ack" || TypeName(lastType+1) != "unknown" {
+		t.Fatalf("lastType is %q and the type after it %q", TypeName(lastType), TypeName(lastType+1))
+	}
+	body[0] |= byte(traceBit)
+	if _, err := Decode(body); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ack with the trace bit set: %v, want ErrCorrupt", err)
+	}
+	for _, bad := range [][]byte{{10}, {10, 3}, {10, 3, 0x80}, {10, 3, 64, 0}} {
+		if _, err := Decode(bad); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("malformed ack % x: %v, want ErrCorrupt", bad, err)
+		}
 	}
 }
 
@@ -82,6 +119,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		JoinReq{Site: 1},
 		JoinResp{Site: 1, Text: "doc"},
 		ClientOp{From: 1, TS: core.Timestamp{T1: 0, T2: 1}, Ref: causal.OpRef{Site: 1, Seq: 1}, Op: o},
+		Ack{From: 1, T1: 64},
 		Leave{Site: 1},
 	}
 	for _, m := range msgs {

@@ -11,14 +11,18 @@ FUZZTIME="${FUZZTIME:-10s}"
 
 step() { echo "== $*" >&2; }
 
-# Nothing the gate starts may outlive it: a server, benchmark or test binary
-# still alive at exit fails the gate whatever the steps said. pgrep matches
-# process names (no -f), so it cannot match this shell's own command line.
+# Nothing the gate starts may outlive it: a server, bot, benchmark or test
+# binary still alive at exit fails the gate whatever the steps said. pgrep
+# matches process names (no -f), so it cannot match this shell's own command
+# line. The benchmark's keep-awake spinners are its own binary re-executed
+# with CVCBENCH_IDLE_SPIN set, whatever that binary was called, so they are
+# found by their environment.
 leftovers() {
 	status=$?
-	left=$(pgrep -l 'cvcbench|reducesrv|\.test$' 2>/dev/null) || true
-	if [ -n "$left" ]; then
-		printf 'check.sh: processes left running:\n%s\n' "$left" >&2
+	left=$(pgrep -l 'cvcbench|reducesrv|reducebot|\.test$' 2>/dev/null) || true
+	spin=$(grep -lsa 'CVCBENCH_IDLE_SPIN=' /proc/[0-9]*/environ 2>/dev/null) || true
+	if [ -n "$left$spin" ]; then
+		printf 'check.sh: processes left running:\n%s\n%s\n' "$left" "$spin" >&2
 		status=1
 	fi
 	exit "$status"
@@ -100,7 +104,7 @@ go test . -run='^(TestE13PollerTCP|TestPollerFallback|TestChaosLeanNotifier|Test
 # link-ordering guarantees on {dedicated reader, mem dispatcher, epoll
 # dispatcher}, and the crash schedule on the journaled lean server.
 step "protocol conformance + crash-restart on the unified server"
-go test ./internal/server -run='^(TestProtocolConformance|TestLinkOrdering|TestCrashRestartFromJournals|TestWriteAheadDiscipline|TestRecoveredSessionAssignsFreshSiteIds)$' -count=1
+go test ./internal/server -run='^(TestProtocolConformance|TestLinkOrdering|TestCrashRestartFromJournals|TestWriteAheadDiscipline|TestJournalBlindToAcks|TestRecoveredSessionAssignsFreshSiteIds)$' -count=1
 
 # The repository's benchmark (BENCHMARK.json → bash bench/run.sh) runs at
 # 1/100 scale inside `go test ./...` above (bench/bench_test.go); a full run

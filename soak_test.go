@@ -7,6 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
+	"repro/internal/server"
+	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -19,7 +22,8 @@ func TestSoak(t *testing.T) {
 		t.Skip("soak test skipped in -short mode")
 	}
 	ln := transport.NewMemListener()
-	nt, err := Serve(ln, "soak document\n")
+	reg := obs.NewRegistry("soak")
+	nt, err := serve(ln, server.WithInitialText("soak document\n"), server.WithObservability(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,37 +119,69 @@ func TestSoak(t *testing.T) {
 	// Quiesce: all counts line up for live editors, and the notifier has seen
 	// every departed one leave — until it has, an operation of theirs it has
 	// yet to read would be broadcast after the texts were compared.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		received, sent := nt.Counts()
-		quiet := true
-		mu.Lock()
-		for _, e := range editors {
-			fromServer, local := e.SV()
-			if received[e.Site()] != local || sent[e.Site()] != fromServer {
-				quiet = false
-				break
+	quiesce := func() {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			received, sent := nt.Counts()
+			quiet := true
+			mu.Lock()
+			for _, e := range editors {
+				fromServer, local := e.SV()
+				if received[e.Site()] != local || sent[e.Site()] != fromServer {
+					quiet = false
+					break
+				}
 			}
-		}
-		for _, site := range departed {
-			if _, joined := received[site]; joined {
-				quiet = false
+			for _, site := range departed {
+				if _, joined := received[site]; joined {
+					quiet = false
+				}
 			}
-		}
-		if quiet {
-			fromServer, _ := viewer.SV()
-			if sent[viewer.Site()] != fromServer {
-				quiet = false
+			if quiet {
+				fromServer, _ := viewer.SV()
+				if sent[viewer.Site()] != fromServer {
+					quiet = false
+				}
 			}
+			mu.Unlock()
+			if quiet {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("soak session did not quiesce")
+			}
+			time.Sleep(2 * time.Millisecond)
 		}
-		mu.Unlock()
-		if quiet {
-			break
+	}
+	quiesce()
+
+	// The rounds ran open-loop, so the history buffer still holds whatever was
+	// in flight at its last compaction. Two more compaction rounds typed with
+	// at most window operations outstanding bring it down to hbBound: the
+	// viewer and the editors that only listen now have acknowledged what they
+	// read, where before bare acknowledgements they pinned the thousand-odd
+	// operations of the whole run.
+	const window = 16
+	mu.Lock()
+	var typist *Editor
+	for _, e := range editors {
+		typist = e
+		break
+	}
+	mu.Unlock()
+	for i := 0; i < 2*64; i++ {
+		if err := typist.Insert(typist.Len(), "."); err != nil {
+			t.Fatal(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("soak session did not quiesce")
+		if i%window == window-1 {
+			quiesce()
 		}
-		time.Sleep(2 * time.Millisecond)
+	}
+	session, _ := reg.Snapshot().Child("(default)")
+	if hb := session.Gauges[obs.GHBLen]; hb > hbBound(window) || session.Counters[trace.CAcksReceived] == 0 {
+		t.Fatalf("hb.len %d after %d operations and %d acknowledgements, want at most %d",
+			hb, session.Gauges[obs.GOpsRecv], session.Counters[trace.CAcksReceived], hbBound(window))
 	}
 
 	want := nt.Text()
