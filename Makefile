@@ -1,13 +1,15 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build test vet lint race fuzz bench benchmark check
+.PHONY: build test vet lint race fuzz benchmark check
 
 build:
 	$(GO) build ./...
 
+# Every go test here and in scripts/ carries a -timeout below the 10-minute
+# default (gate_test.go checks), so no test binary can outlive its caller.
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 5m ./...
 
 vet:
 	$(GO) vet ./...
@@ -23,11 +25,6 @@ lint:
 race:
 	bash scripts/race.sh
 
-# bench refreshes BENCH_notifier.json, the committed hot-path trajectory
-# point; see scripts/bench.sh.
-bench:
-	bash scripts/bench.sh
-
 # benchmark runs the repository's benchmark (BENCHMARK.json, bench/README.md):
 # four closed-loop workloads against the default server layout, every
 # end-to-end and per-layer metric, results in bench/out/results.json (~2 min).
@@ -39,8 +36,8 @@ benchmark:
 	$(GO) run ./bench
 
 fuzz:
-	$(GO) test ./internal/op -run='^$$' -fuzz='^FuzzTransform$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/op -run='^$$' -fuzz='^FuzzCompose$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/op -run='^$$' -fuzz='^FuzzTransform$$' -fuzztime=$(FUZZTIME) -timeout 5m
+	$(GO) test ./internal/op -run='^$$' -fuzz='^FuzzCompose$$' -fuzztime=$(FUZZTIME) -timeout 5m
 
 # check is the full local CI gate; see scripts/check.sh.
 check:

@@ -255,7 +255,7 @@ func TestPollerFallback(t *testing.T) {
 }
 
 // BenchmarkE13IdleConnections holds an idle fleet (E13_CONNS, default 2048;
-// the cmd/cvcbench e13 mode drives this to 100k) with a ~1% active set and
+// EXPERIMENTS.md E13's mem row is E13_CONNS=100000) with a ~1% active set and
 // reports capacity metrics: goroutines per idle connection, heap bytes per
 // idle connection (after the sessions park), and the p99 editor→editor
 // round-trip on the active set while the fleet is attached.
@@ -287,8 +287,7 @@ func BenchmarkE13IdleConnectionsTCP(b *testing.B) {
 	runE13IdleBench(b, conns, ln, func() (transport.Conn, error) { return transport.DialTCP(addr) })
 }
 
-// e13BenchConns sizes the idle fleet (E13_CONNS, default 2048; cvcbench's
-// e13 mode drives the same measurement to ~100k).
+// e13BenchConns sizes the idle fleet (E13_CONNS, default 2048).
 func e13BenchConns() int {
 	conns := 2048
 	if s := os.Getenv("E13_CONNS"); s != "" {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/trace"
+	"repro/internal/vclock"
 )
 
 // BenchmarkGenerateLocal is the latency-critical path of paper §2
@@ -176,15 +177,40 @@ func TestLaggedCatchupTransformReduction(t *testing.T) {
 		depth, pairwise, composed, pairwise/composed)
 }
 
-// BenchmarkConcurrencyCheckClient: formula (5), the O(1) client-side check.
-func BenchmarkConcurrencyCheckClient(b *testing.B) {
-	ta := Timestamp{T1: 100, T2: 50}
-	tb := Timestamp{T1: 99, T2: 51}
-	x := false
-	for i := 0; i < b.N; i++ {
-		x = ConcurrentClient(ta, tb, false) != x
+// BenchmarkE7CheckCost is EXPERIMENTS.md's E7 table: the cost of one
+// concurrency decision at N sites, one sub-benchmark per column — formula
+// (5), the client check; formula (7) with Σ T_Ob cached per history entry, as
+// the engine runs it; formula (7) summing the N-vector on every call; and
+// the full-vector comparison the compressed clocks replace.
+func BenchmarkE7CheckCost(b *testing.B) {
+	ta := Timestamp{T1: 5, T2: 3}
+	tb := Timestamp{T1: 4, T2: 7}
+	for _, n := range []int{8, 512, 4096} {
+		full := vclock.New(n + 1)
+		for i := range full {
+			full[i] = uint64(i)
+		}
+		other := full.Copy()
+		other[n/2]++
+		sum := full.Sum()
+		for _, col := range []struct {
+			name  string
+			check func() bool
+		}{
+			{"formula5", func() bool { return ConcurrentClient(ta, tb, false) }},
+			{"formula7-cached", func() bool { return ConcurrentServerSum(ta, 1, sum, full[1], 2, 0) }},
+			{"formula7-naive", func() bool { return ConcurrentServer(ta, 1, full, 2, 0) }},
+			{"fullvc-compare", func() bool { return vclock.AreConcurrent(full, other) }},
+		} {
+			b.Run(fmt.Sprintf("%s/N=%d", col.name, n), func(b *testing.B) {
+				x := false
+				for i := 0; i < b.N; i++ {
+					x = col.check() != x
+				}
+				_ = x
+			})
+		}
 	}
-	_ = x
 }
 
 // BenchmarkCompress: formulas (1)–(2), per-destination timestamp

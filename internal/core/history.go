@@ -310,7 +310,7 @@ func (h *ServerHB) Sum(i int) uint64 {
 // ClockWords returns how many clock words the buffer keeps to timestamp
 // every buffered entry — tail + counts + tailSum, O(N) regardless of Len(),
 // versus the O(N·Len) of the paper's full-vector-per-entry storage (§3.3).
-// Reported by BenchmarkE4ClockMemory.
+// Reported by `figures -exp e4`.
 func (h *ServerHB) ClockWords() int { return len(h.tail) + len(h.counts) + 1 }
 
 // ConcurrentCount returns how many buffered entries are concurrent (formula

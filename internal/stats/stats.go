@@ -8,6 +8,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // Sample accumulates observations and answers summary queries. The zero
@@ -128,39 +129,52 @@ func (t *Table) Row(cells ...any) {
 	t.rows = append(t.rows, row)
 }
 
-// String renders the table.
-func (t *Table) String() string {
+// String renders the table as plain text: columns two spaces apart, a rule
+// of dashes under the header.
+func (t *Table) String() string { return t.render("", "  ", "", 0) }
+
+// Markdown renders the table as a GitHub-flavoured pipe table, cells padded
+// to column width so the source reads as a table too.
+func (t *Table) Markdown() string { return t.render("| ", " | ", " |", 3) }
+
+// render writes each row as left + cells joined by sep + right, every cell
+// padded to its column's width (at least minWidth), and a row of dashes
+// under the header.
+func (t *Table) render(left, sep, right string, minWidth int) string {
 	if len(t.rows) == 0 {
 		return ""
 	}
-	widths := make([]int, 0)
+	var widths []int
 	for _, r := range t.rows {
 		for i, c := range r {
 			if i >= len(widths) {
-				widths = append(widths, 0)
+				widths = append(widths, minWidth)
 			}
-			if len(c) > widths[i] {
-				widths[i] = len(c)
+			if n := utf8.RuneCountInString(c); n > widths[i] {
+				widths[i] = n
 			}
 		}
 	}
+	rule := make([]string, len(widths))
+	for i, w := range widths {
+		rule[i] = strings.Repeat("-", w)
+	}
 	var b strings.Builder
-	for ri, r := range t.rows {
-		for i, c := range r {
+	row := func(cells []string) {
+		b.WriteString(left)
+		for i, c := range cells {
 			if i > 0 {
-				b.WriteString("  ")
+				b.WriteString(sep)
 			}
 			fmt.Fprintf(&b, "%-*s", widths[i], c)
 		}
+		b.WriteString(right)
 		b.WriteByte('\n')
+	}
+	for ri, r := range t.rows {
+		row(r)
 		if ri == 0 {
-			for i, w := range widths {
-				if i > 0 {
-					b.WriteString("  ")
-				}
-				b.WriteString(strings.Repeat("-", w))
-			}
-			b.WriteByte('\n')
+			row(rule)
 		}
 	}
 	return b.String()

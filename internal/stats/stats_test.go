@@ -82,8 +82,12 @@ func TestTableRendering(t *testing.T) {
 	if !strings.Contains(lines[2], "4.50") {
 		t.Fatalf("float formatting: %q", lines[2])
 	}
+	wantMD := "| N    | bytes |\n| ---- | ----- |\n| 2    | 4.50  |\n| 1024 | 17    |\n"
+	if got := tb.Markdown(); got != wantMD {
+		t.Fatalf("markdown:\n%s\nwant:\n%s", got, wantMD)
+	}
 	var empty Table
-	if empty.String() != "" {
+	if empty.String() != "" || empty.Markdown() != "" {
 		t.Fatal("empty table must render empty")
 	}
 }

@@ -1,7 +1,7 @@
 // Package trace collects runtime metrics from a group-editing session: op
 // and byte counters per link, concurrency-detection counts, and
-// transformation counts. The benchmark harness (cmd/cvcbench and
-// bench_test.go) reads these to print the experiment tables.
+// transformation counts. cmd/figures reads these (through internal/sim) to
+// print the experiment tables.
 //
 // Metrics is a thin naming layer over internal/obs: every counter is an
 // obs.Counter (sharded, lock-free, allocation-free to increment), and a

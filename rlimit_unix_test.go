@@ -5,8 +5,8 @@ package repro
 import "syscall"
 
 // raiseTestNoFile lifts RLIMIT_NOFILE toward want before the TCP capacity
-// benchmark dials its fleet (mirrors cvcbench's raiseNoFile): soft → hard,
-// and a best-effort hard-limit raise for privileged runs. Failures are fine —
+// benchmark dials its fleet: soft → hard, and a best-effort hard-limit raise
+// for privileged runs. Failures are fine —
 // the bench just runs at whatever budget the shell grants.
 func raiseTestNoFile(want uint64) {
 	var rl syscall.Rlimit
