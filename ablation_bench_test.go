@@ -13,14 +13,12 @@ import (
 	"repro/internal/sim"
 )
 
-// BenchmarkAblationBufferImpl runs the same engine workload over the three
-// document implementations. The rope wins on large documents with scattered
-// edits; the gap buffer on clustered edits; the plain slice only on tiny
-// documents.
+// BenchmarkAblationBufferImpl runs the same engine workload over the rope
+// and the plain rune slice it is tested against. Front edits are the
+// slice's worst case: it moves the whole document per edit.
 func BenchmarkAblationBufferImpl(b *testing.B) {
 	mk := map[string]func(string) doc.Buffer{
 		"rope":   func(s string) doc.Buffer { return doc.NewRope(s) },
-		"gap":    func(s string) doc.Buffer { return doc.NewGapBuffer(s) },
 		"simple": func(s string) doc.Buffer { return doc.NewSimple(s) },
 	}
 	seed := strings.Repeat("0123456789", 2000) // 20k-rune steady-state doc
@@ -81,27 +79,33 @@ func BenchmarkAblationCompaction(b *testing.B) {
 }
 
 // BenchmarkAblationUndoTracking measures the local-path overhead of undo
-// tracking (an extra document snapshot + inverse per local op).
+// tracking: one inverse per local op, which reads only the runs the op
+// deletes, so the 64 KiB document costs what the small one does.
 func BenchmarkAblationUndoTracking(b *testing.B) {
-	for _, undo := range []bool{false, true} {
-		b.Run(fmt.Sprintf("undo=%v", undo), func(b *testing.B) {
-			opts := []core.ClientOption{core.WithClientCompaction(1)}
-			if undo {
-				opts = []core.ClientOption{core.WithClientUndo()}
-			}
-			c := core.NewClient(1, "seed text for undo ablation", opts...)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// Insert/delete pairs keep the document (and therefore the
-				// undo snapshot cost) at steady state.
-				if _, err := c.Insert(0, "x"); err != nil {
-					b.Fatal(err)
+	docs := map[string]string{
+		"small": "seed text for undo ablation",
+		"64KiB": strings.Repeat("a 64-byte line of the seed text for the undo ablation, repeated\n", 1024),
+	}
+	for _, size := range []string{"small", "64KiB"} {
+		for _, undo := range []bool{false, true} {
+			b.Run(fmt.Sprintf("doc=%s/undo=%v", size, undo), func(b *testing.B) {
+				opts := []core.ClientOption{core.WithClientCompaction(1)}
+				if undo {
+					opts = []core.ClientOption{core.WithClientUndo()}
 				}
-				if _, err := c.Delete(0, 1); err != nil {
-					b.Fatal(err)
+				c := core.NewClient(1, docs[size], opts...)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					// Insert/delete pairs keep the document at steady state.
+					if _, err := c.Insert(0, "x"); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := c.Delete(0, 1); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -81,12 +81,34 @@ func TestAckedAudienceOverTCP(t *testing.T) {
 		return child
 	}
 
+	// acked blocks until the notifier has counted want acknowledgements.
+	// hbBound's acknowledgement term assumes each one arrives within 2·window
+	// edits of falling due; on a loaded machine the scheduler can hold one
+	// longer, and the peak would then measure the scheduler, not the
+	// protocol.
+	acked := func(want int64) {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for session().Counters[trace.CAcksReceived] < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("acks.received stuck below %d", want)
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+
 	var peak int64
 	for i := 1; i <= edits; i++ {
 		if err := writer.Insert(writer.Len(), "x"); err != nil {
 			t.Fatal(err)
 		}
 		behind(i, window)
+		if due := i - window; due > 0 && due%core.AckEvery == 0 {
+			// Every replica has integrated at least due and at most i <
+			// due+AckEvery operations, so each has sent exactly
+			// due/AckEvery acknowledgements: wait for all of them.
+			acked(int64(len(audience) * due / core.AckEvery))
+		}
 		if i%50 == 0 {
 			if hb := session().Gauges[obs.GHBLen]; hb > peak {
 				peak = hb

@@ -221,9 +221,12 @@ func (c *Client) Generate(o *op.Op) (ClientMsg, error) {
 		return ClientMsg{}, fmt.Errorf("%w: op base %d, document %d",
 			ErrStaleOp, o.BaseLen(), c.buf.Len())
 	}
-	var before []rune
+	var inverse *op.Op
 	if c.undo != nil {
-		before = snapshotRunes(c.buf)
+		var err error
+		if inverse, err = op.Invert(o, c.buf.Len(), c.buf.Slice); err != nil {
+			return ClientMsg{}, fmt.Errorf("core: undo tracking: %w", err)
+		}
 	}
 	if err := doc.Apply(c.buf, o); err != nil {
 		return ClientMsg{}, fmt.Errorf("core: local apply: %w", err)
@@ -236,9 +239,7 @@ func (c *Client) Generate(o *op.Op) (ClientMsg, error) {
 	if c.undo != nil {
 		// Recorded after hb.Add so the rebase walk starts at the entry
 		// *after* the operation itself.
-		if err := c.pushUndo(o, before); err != nil {
-			return ClientMsg{}, fmt.Errorf("core: undo tracking: %w", err)
-		}
+		c.pushUndo(inverse)
 	}
 	if c.mode == ModeTransform {
 		if c.pcomp != nil {

@@ -28,7 +28,7 @@ func TestNewClientRejectsMismatchedBuffer(t *testing.T) {
 }
 
 func TestClientCustomBuffer(t *testing.T) {
-	c := NewClient(1, "abc", WithClientBuffer(doc.NewGapBuffer("abc")))
+	c := NewClient(1, "abc", WithClientBuffer(doc.NewSimple("abc")))
 	if _, err := c.Insert(3, "!"); err != nil {
 		t.Fatal(err)
 	}

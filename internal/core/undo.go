@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/doc"
 	"repro/internal/op"
 )
 
@@ -42,19 +41,14 @@ func WithClientUndo() ClientOption {
 	}
 }
 
-// pushUndo records a just-executed local op. doc is the document state
-// *before* the op ran.
-func (c *Client) pushUndo(o *op.Op, before []rune) error {
-	inv, err := op.Invert(o, before)
-	if err != nil {
-		return err
-	}
+// pushUndo records a just-executed local op by inv, its inverse taken from
+// the document before the op ran (op.Invert reads only the deleted runs).
+func (c *Client) pushUndo(inv *op.Op) {
 	c.undo.records = append(c.undo.records, undoRecord{
 		inverse: inv,
 		histLen: c.hb.Len(),
 		dropped: c.hb.Dropped(),
 	})
-	return nil
 }
 
 // Undo generates the operation that reverses this site's most recent
@@ -94,10 +88,4 @@ func (c *Client) UndoDepth() int {
 		return 0
 	}
 	return len(c.undo.records)
-}
-
-// snapshotRunes captures the buffer contents as runes (used to record undo
-// inverses before a local apply).
-func snapshotRunes(b doc.Buffer) []rune {
-	return []rune(b.String())
 }

@@ -6,11 +6,12 @@ import (
 	"testing"
 )
 
-// benchEdits applies mixed random edits to b. The document size is held in
+// benchEdits applies mixed random edits to b, inserting ins (two runes) or
+// deleting two runes at a time. The document size is held in
 // a steady-state band so per-op cost does not depend on b.N (a growing
 // working set would make the benchmark framework's adaptive iteration count
 // meaningless).
-func benchEdits(bench *testing.B, buf Buffer, clustered bool) {
+func benchEdits(bench *testing.B, buf Buffer, clustered bool, ins string) {
 	r := rand.New(rand.NewSource(7))
 	base := buf.Len()
 	lo, hi := base-base/10, base+base/10
@@ -37,7 +38,7 @@ func benchEdits(bench *testing.B, buf Buffer, clustered bool) {
 			insert = false
 		}
 		if insert {
-			if err := buf.Insert(pos, "ab"); err != nil {
+			if err := buf.Insert(pos, ins); err != nil {
 				bench.Fatal(err)
 			}
 			cursor = pos + 2
@@ -55,12 +56,16 @@ func benchEdits(bench *testing.B, buf Buffer, clustered bool) {
 
 func seedText() string { return strings.Repeat("the quick brown fox ", 5000) } // 100k runes
 
-func BenchmarkRopeRandomEdits(b *testing.B)      { benchEdits(b, NewRope(seedText()), false) }
-func BenchmarkGapRandomEdits(b *testing.B)       { benchEdits(b, NewGapBuffer(seedText()), false) }
-func BenchmarkSimpleRandomEdits(b *testing.B)    { benchEdits(b, NewSimple(seedText()), false) }
-func BenchmarkRopeClusteredEdits(b *testing.B)   { benchEdits(b, NewRope(seedText()), true) }
-func BenchmarkGapClusteredEdits(b *testing.B)    { benchEdits(b, NewGapBuffer(seedText()), true) }
-func BenchmarkSimpleClusteredEdits(b *testing.B) { benchEdits(b, NewSimple(seedText()), true) }
+// seedTextMultibyte mixes 1-, 2-, 3- and 4-byte runes: 100k runes, 130k bytes.
+func seedTextMultibyte() string { return strings.Repeat("the quick 狐 jumps ü🦊", 5000) }
+
+func BenchmarkRopeRandomEdits(b *testing.B) { benchEdits(b, NewRope(seedText()), false, "ab") }
+func BenchmarkRopeRandomEditsMultibyte(b *testing.B) {
+	benchEdits(b, NewRope(seedTextMultibyte()), false, "é狐")
+}
+func BenchmarkSimpleRandomEdits(b *testing.B)    { benchEdits(b, NewSimple(seedText()), false, "ab") }
+func BenchmarkRopeClusteredEdits(b *testing.B)   { benchEdits(b, NewRope(seedText()), true, "ab") }
+func BenchmarkSimpleClusteredEdits(b *testing.B) { benchEdits(b, NewSimple(seedText()), true, "ab") }
 
 func BenchmarkRopeSlice(b *testing.B) {
 	rope := NewRope(seedText())
@@ -73,8 +78,12 @@ func BenchmarkRopeSlice(b *testing.B) {
 	}
 }
 
-func BenchmarkRopeString(b *testing.B) {
-	rope := NewRope(seedText())
+func BenchmarkRopeString(b *testing.B)          { benchString(b, seedText()) }
+func BenchmarkRopeStringMultibyte(b *testing.B) { benchString(b, seedTextMultibyte()) }
+
+func benchString(b *testing.B, text string) {
+	rope := NewRope(text)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if len(rope.String()) == 0 {

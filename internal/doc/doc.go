@@ -1,15 +1,16 @@
 // Package doc provides replicated-document storage for the group editor
 // (paper §2: every collaborating site and the notifier keep a full copy of
-// the shared document). Three interchangeable implementations are provided:
+// the shared document). Two implementations of Buffer are provided:
 //
-//   - Rope: a balanced rope, O(log n) insert/delete, the default for large
-//     documents;
-//   - GapBuffer: a gap buffer, amortized O(1) for clustered edits, the
-//     classic single-user-editor structure;
+//   - Rope: a balanced rope whose leaves hold UTF-8 bytes plus a rune count,
+//     O(log n) insert/delete and one byte per ASCII character — what every
+//     engine stores its replica in;
 //   - Simple: a plain rune slice, the obviously-correct reference used for
-//     differential testing and small documents.
+//     differential testing.
 //
-// All positions and lengths are rune offsets, matching package op.
+// All positions and lengths are rune offsets, matching package op. Text that
+// is not valid UTF-8 is stored as []rune(s) maps it: each invalid byte is one
+// U+FFFD.
 package doc
 
 import (
@@ -63,7 +64,7 @@ func Apply(b Buffer, o *op.Op) error {
 }
 
 // Simple is the reference Buffer: a plain rune slice. It is the ground truth
-// in differential tests and perfectly adequate for small documents.
+// in differential tests.
 type Simple struct {
 	runes []rune
 }

@@ -14,7 +14,6 @@ func buffers(s string) map[string]Buffer {
 	return map[string]Buffer{
 		"simple": NewSimple(s),
 		"rope":   NewRope(s),
-		"gap":    NewGapBuffer(s),
 	}
 }
 
@@ -110,14 +109,13 @@ func TestRangeErrors(t *testing.T) {
 	}
 }
 
-// TestDifferentialRandomEdits drives all three implementations with the same
+// TestDifferentialRandomEdits drives both implementations with the same
 // random edit stream and demands identical contents at every step.
 func TestDifferentialRandomEdits(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	alphabet := "abcXYZ 日本éü"
 	ref := NewSimple("")
 	rope := NewRope("")
-	gap := NewGapBuffer("")
 	for i := 0; i < 4000; i++ {
 		n := ref.Len()
 		if n == 0 || r.Intn(3) != 0 {
@@ -131,7 +129,7 @@ func TestDifferentialRandomEdits(t *testing.T) {
 				sb.WriteRune(rs[r.Intn(len(rs))])
 			}
 			s := sb.String()
-			for name, b := range map[string]Buffer{"ref": ref, "rope": rope, "gap": gap} {
+			for name, b := range map[string]Buffer{"ref": ref, "rope": rope} {
 				if err := b.Insert(pos, s); err != nil {
 					t.Fatalf("iter %d: %s insert: %v", i, name, err)
 				}
@@ -139,7 +137,7 @@ func TestDifferentialRandomEdits(t *testing.T) {
 		} else {
 			pos := r.Intn(n)
 			del := 1 + r.Intn(min(4, n-pos))
-			for name, b := range map[string]Buffer{"ref": ref, "rope": rope, "gap": gap} {
+			for name, b := range map[string]Buffer{"ref": ref, "rope": rope} {
 				if err := b.Delete(pos, del); err != nil {
 					t.Fatalf("iter %d: %s delete: %v", i, name, err)
 				}
@@ -150,13 +148,10 @@ func TestDifferentialRandomEdits(t *testing.T) {
 			if rope.String() != want {
 				t.Fatalf("iter %d: rope diverged", i)
 			}
-			if gap.String() != want {
-				t.Fatalf("iter %d: gap diverged", i)
-			}
 		}
 	}
 	want := ref.String()
-	if rope.String() != want || gap.String() != want {
+	if rope.String() != want {
 		t.Fatal("final states diverged")
 	}
 	// Random slices must agree too.
@@ -165,8 +160,7 @@ func TestDifferentialRandomEdits(t *testing.T) {
 		b := a + r.Intn(ref.Len()-a+1)
 		s1, _ := ref.Slice(a, b)
 		s2, _ := rope.Slice(a, b)
-		s3, _ := gap.Slice(a, b)
-		if s1 != s2 || s1 != s3 {
+		if s1 != s2 {
 			t.Fatalf("slice [%d,%d) disagreement", a, b)
 		}
 	}
@@ -200,23 +194,6 @@ func TestRopeLargeInit(t *testing.T) {
 	}
 	if got != "5678901234" {
 		t.Fatalf("mid slice: %q", got)
-	}
-}
-
-func TestGapBufferGapMovement(t *testing.T) {
-	g := NewGapBuffer("abcdef")
-	// Force the gap back and forth.
-	if err := g.Insert(6, "X"); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Insert(0, "Y"); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Delete(3, 2); err != nil {
-		t.Fatal(err)
-	}
-	if g.String() != "Yabef"+"X" {
-		t.Fatalf("got %q", g.String())
 	}
 }
 

@@ -87,21 +87,3 @@ func TestQuickRopeEquivalentToSimple(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestQuickGapBufferEquivalentToSimple.
-func TestQuickGapBufferEquivalentToSimple(t *testing.T) {
-	f := func(s editScript) bool {
-		ref := NewSimple(s.Initial)
-		gap := NewGapBuffer(s.Initial)
-		if err := applyScript(ref, s); err != nil {
-			return false
-		}
-		if err := applyScript(gap, s); err != nil {
-			return false
-		}
-		return ref.String() == gap.String() && ref.Len() == gap.Len()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Fatal(err)
-	}
-}

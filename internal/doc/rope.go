@@ -1,26 +1,120 @@
 package doc
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+	"math/bits"
+	"strings"
+	"unicode/utf8"
 
-// maxLeaf bounds leaf size: adjacent leaves are merged on concat while their
-// combined size stays under it, keeping the tree shallow for big documents
-// without wasting memory on tiny ones.
-const maxLeaf = 512
+	"repro/internal/op"
+)
 
-// ropeNode is a node of an immutable-ish rope. Leaves hold runes; internal
-// nodes cache the total subtree length and height for balancing.
+// maxLeaf bounds leaf size in bytes: adjacent leaves are merged on concat
+// while their combined size stays under it, keeping the tree shallow for big
+// documents without wasting memory on tiny ones. 2048 bytes is what a leaf of
+// 512 runes took when leaves were []rune, so the in-place keystroke path
+// moves no more memory than it did.
+const maxLeaf = 2048
+
+// ropeNode is a node of an immutable-ish rope. Leaves hold valid UTF-8;
+// every node caches its subtree's rune and byte counts and its height for
+// balancing. Positions are rune offsets everywhere; the byte counts let a
+// slice find its byte range and allocate once. 64 bytes on 64-bit platforms,
+// one size class (TestRopeNodeSize).
 type ropeNode struct {
 	left, right *ropeNode // both nil for a leaf
-	length      int       // total runes in this subtree
+	length      int       // runes in this subtree
+	size        int       // bytes in this subtree
 	height      int       // 1 for leaves
-	runes       []rune    // leaf payload (nil for internal nodes)
+	text        []byte    // leaf payload, valid UTF-8 (nil for internal nodes)
 }
 
-func leaf(rs []rune) *ropeNode {
-	return &ropeNode{length: len(rs), height: 1, runes: rs}
+// leaf wraps b, valid UTF-8 of runes runes that the leaf now owns.
+func leaf(b []byte, runes int) *ropeNode {
+	return &ropeNode{length: runes, size: len(b), height: 1, text: b}
 }
 
 func (n *ropeNode) isLeaf() bool { return n.left == nil }
+
+// offset returns the byte offset of rune i (0 ≤ i ≤ length) in a leaf. An
+// all-ASCII leaf indexes directly; otherwise rune starts are counted a
+// machine word at a time.
+func (n *ropeNode) offset(i int) int {
+	if n.size == n.length {
+		return i
+	}
+	return runeOffset(n.text, i, n.length)
+}
+
+// continuations counts the UTF-8 continuation bytes (10xxxxxx) among the
+// eight bytes of b at p: bit 7 set and bit 6 clear, tested for all eight at
+// once.
+func continuations(b []byte, p int) int {
+	w := binary.LittleEndian.Uint64(b[p:])
+	return bits.OnesCount64(w &^ (w << 1) & 0x8080808080808080)
+}
+
+// runeOffset returns the byte offset at which rune i starts in b, valid
+// UTF-8 of runes runes (len(b) when i == runes). It counts rune starts from
+// whichever end of b is nearer.
+func runeOffset(b []byte, i, runes int) int {
+	if i > runes/2 {
+		return runeOffsetFromEnd(b, runes-i)
+	}
+	p := 0
+	for ; p+8 <= len(b); p += 8 {
+		starts := 8 - continuations(b, p)
+		if starts > i {
+			break
+		}
+		i -= starts
+	}
+	for ; p < len(b); p++ {
+		if utf8.RuneStart(b[p]) {
+			if i == 0 {
+				return p
+			}
+			i--
+		}
+	}
+	return p
+}
+
+// runeOffsetFromEnd returns the byte offset in valid UTF-8 b at which the
+// k-th rune from the end starts (len(b) when k is 0).
+func runeOffsetFromEnd(b []byte, k int) int {
+	p := len(b)
+	for ; k > 0 && p >= 8; p -= 8 {
+		starts := 8 - continuations(b, p-8)
+		if starts >= k {
+			break
+		}
+		k -= starts
+	}
+	for k > 0 {
+		p--
+		if utf8.RuneStart(b[p]) {
+			k--
+		}
+	}
+	return p
+}
+
+// runeCount returns the number of runes in valid UTF-8 b: its bytes less its
+// continuation bytes.
+func runeCount(b []byte) int {
+	n, p := len(b), 0
+	for ; p+8 <= len(b); p += 8 {
+		n -= continuations(b, p)
+	}
+	for ; p < len(b); p++ {
+		if !utf8.RuneStart(b[p]) {
+			n--
+		}
+	}
+	return n
+}
 
 // concat joins two subtrees, merging small leaves and rebalancing when the
 // height invariant degrades.
@@ -31,34 +125,40 @@ func concat(a, b *ropeNode) *ropeNode {
 	case b == nil || b.length == 0:
 		return a
 	}
-	if a.isLeaf() && b.isLeaf() && a.length+b.length <= maxLeaf {
-		merged := make([]rune, 0, a.length+b.length)
-		merged = append(merged, a.runes...)
-		merged = append(merged, b.runes...)
-		return leaf(merged)
+	if a.isLeaf() && b.isLeaf() && a.size+b.size <= maxLeaf {
+		merged := make([]byte, 0, a.size+b.size)
+		merged = append(merged, a.text...)
+		merged = append(merged, b.text...)
+		return leaf(merged, a.length+b.length)
 	}
 	// Descend toward the nearer edge when one side is a small leaf, so
 	// repeated edge insertions (typing at the start or end of a large
 	// document) coalesce into the edge leaf instead of stacking one level
 	// of height per edit and forcing constant O(n) rebuilds.
-	if a.isLeaf() && !b.isLeaf() && a.length <= maxLeaf/2 {
+	if a.isLeaf() && !b.isLeaf() && a.size <= maxLeaf/2 {
 		return node(concat(a, b.left), b.right)
 	}
-	if b.isLeaf() && !a.isLeaf() && b.length <= maxLeaf/2 {
+	if b.isLeaf() && !a.isLeaf() && b.size <= maxLeaf/2 {
 		return node(a.left, concat(a.right, b))
 	}
 	return node(a, b)
 }
 
-// node builds an internal node over two non-empty subtrees, rebuilding when
-// the height invariant degrades.
-func node(a, b *ropeNode) *ropeNode {
-	n := &ropeNode{
+// join builds an internal node over two non-empty subtrees.
+func join(a, b *ropeNode) *ropeNode {
+	return &ropeNode{
 		left:   a,
 		right:  b,
 		length: a.length + b.length,
+		size:   a.size + b.size,
 		height: max(a.height, b.height) + 1,
 	}
+}
+
+// node joins two non-empty subtrees, rebuilding when the height invariant
+// degrades.
+func node(a, b *ropeNode) *ropeNode {
+	n := join(a, b)
 	if n.unbalanced() {
 		return rebuild(n)
 	}
@@ -66,14 +166,17 @@ func node(a, b *ropeNode) *ropeNode {
 }
 
 // unbalanced reports whether the subtree is pathologically deep for its size.
-func (n *ropeNode) unbalanced() bool {
-	// A perfectly balanced tree over k leaves has height ~log2(k)+1; allow
-	// generous slack before paying for a rebuild.
+func (n *ropeNode) unbalanced() bool { return n.height > heightLimit(n.length) }
+
+// heightLimit is the greatest height node accepts for a subtree of length
+// runes. A perfectly balanced tree over k leaves has height ~log2(k)+1; allow
+// generous slack before paying for a rebuild.
+func heightLimit(length int) int {
 	limit := 2
-	for size := 1; size < n.length; size <<= 1 {
+	for size := 1; size < length; size <<= 1 {
 		limit++
 	}
-	return n.height > limit+8
+	return limit + 8
 }
 
 // rebuild flattens the subtree into leaves and reassembles a balanced tree.
@@ -100,85 +203,108 @@ func (n *ropeNode) collectLeaves(out *[]*ropeNode) {
 func buildBalanced(leaves []*ropeNode) *ropeNode {
 	switch len(leaves) {
 	case 0:
-		return leaf(nil)
+		return leaf(nil, 0)
 	case 1:
 		return leaves[0]
 	}
 	mid := len(leaves) / 2
-	a := buildBalanced(leaves[:mid])
-	b := buildBalanced(leaves[mid:])
-	return &ropeNode{
-		left:   a,
-		right:  b,
-		length: a.length + b.length,
-		height: max(a.height, b.height) + 1,
-	}
+	return join(buildBalanced(leaves[:mid]), buildBalanced(leaves[mid:]))
 }
 
-// tryInsert inserts rs in place when the position lands inside (or at the
-// edge of) a leaf with room, updating subtree lengths on the way down, and
-// reports whether it did. The structure, heights, and balance of the tree
-// are unchanged, so no rebalancing is needed. This is the hot path for
-// interactive editing: a keystroke-sized insert touches one leaf and
-// allocates at most one amortized slice growth instead of O(depth) fresh
-// nodes via split/concat.
+// build returns a balanced tree over valid UTF-8 s, cut into leaves of at
+// most maxLeaf bytes on rune boundaries.
+func build(s string) *ropeNode {
+	if len(s) <= maxLeaf {
+		b := []byte(s)
+		return leaf(b, runeCount(b))
+	}
+	leaves := make([]*ropeNode, 0, (len(s)+maxLeaf-1)/maxLeaf)
+	for len(s) > 0 {
+		cut := min(maxLeaf, len(s))
+		for cut < len(s) && !utf8.RuneStart(s[cut]) {
+			cut--
+		}
+		b := []byte(s[:cut])
+		leaves = append(leaves, leaf(b, runeCount(b)))
+		s = s[cut:]
+	}
+	return buildBalanced(leaves)
+}
+
+// tryInsert inserts s (valid UTF-8 of runes runes) in place when the position
+// lands inside (or at the edge of) a leaf with room, updating subtree counts
+// on the way down, and reports whether it did. The structure, heights, and
+// balance of the tree are unchanged, so no rebalancing is needed. This is
+// the hot path for interactive editing: a keystroke-sized insert touches one
+// leaf and allocates at most one amortized slice growth instead of O(depth)
+// fresh nodes via split/concat.
 //
-// In-place mutation is safe because leaf rune slices are never shared
-// between trees: every constructor (NewRope, split, concat-merge) copies.
-func (n *ropeNode) tryInsert(pos int, rs []rune) bool {
+// In-place mutation is safe because leaf byte slices are never shared
+// between trees: every constructor (build, split, concat-merge) copies.
+func (n *ropeNode) tryInsert(pos int, s string, runes int) bool {
 	if n.isLeaf() {
-		if n.length+len(rs) > maxLeaf {
+		if n.size+len(s) > maxLeaf {
 			return false
 		}
-		n.runes = append(n.runes, rs...) // grow, amortized
-		copy(n.runes[pos+len(rs):], n.runes[pos:n.length])
-		copy(n.runes[pos:], rs)
-		n.length = len(n.runes)
+		off := n.offset(pos)
+		n.text = append(n.text, s...) // grow, amortized
+		copy(n.text[off+len(s):], n.text[off:n.size])
+		copy(n.text[off:], s)
+		n.size = len(n.text)
+		n.length += runes
 		return true
 	}
 	var ok bool
 	if pos <= n.left.length {
-		ok = n.left.tryInsert(pos, rs)
+		ok = n.left.tryInsert(pos, s, runes)
 		if !ok && pos == n.left.length {
 			// Boundary position: the right subtree's edge leaf may have room.
-			ok = n.right.tryInsert(0, rs)
+			ok = n.right.tryInsert(0, s, runes)
 		}
 	} else {
-		ok = n.right.tryInsert(pos-n.left.length, rs)
+		ok = n.right.tryInsert(pos-n.left.length, s, runes)
 	}
 	if ok {
-		n.length += len(rs)
+		n.length += runes
+		n.size += len(s)
 	}
 	return ok
 }
 
-// tryDelete removes [pos, pos+cnt) in place when the range falls entirely
-// within one leaf, updating subtree lengths, and reports whether it did.
-// A leaf emptied by the deletion stays in the tree (harmless: empty leaves
-// are skipped by concat and contribute nothing to slices).
-func (n *ropeNode) tryDelete(pos, cnt int) bool {
+// tryDelete removes runes [pos, pos+cnt) in place when the range falls
+// entirely within one leaf, updating subtree counts, and reports how many
+// bytes it removed (-1 when it did not). A leaf emptied by the deletion stays
+// in the tree (harmless: empty leaves are skipped by concat and contribute
+// nothing to slices).
+func (n *ropeNode) tryDelete(pos, cnt int) int {
 	if n.isLeaf() {
-		copy(n.runes[pos:], n.runes[pos+cnt:])
-		n.runes = n.runes[:n.length-cnt]
+		lo := n.offset(pos)
+		hi := lo + cnt
+		if n.size != n.length {
+			hi = lo + runeOffset(n.text[lo:], cnt, n.length-pos)
+		}
+		n.text = append(n.text[:lo], n.text[hi:]...)
+		n.size = len(n.text)
 		n.length -= cnt
-		return true
+		return hi - lo
 	}
-	var ok bool
+	var removed int
 	switch {
 	case pos >= n.left.length:
-		ok = n.right.tryDelete(pos-n.left.length, cnt)
+		removed = n.right.tryDelete(pos-n.left.length, cnt)
 	case pos+cnt <= n.left.length:
-		ok = n.left.tryDelete(pos, cnt)
+		removed = n.left.tryDelete(pos, cnt)
 	default:
-		return false // spans the subtree boundary; caller falls back to split
+		return -1 // spans the subtree boundary; caller falls back to split
 	}
-	if ok {
+	if removed >= 0 {
 		n.length -= cnt
+		n.size -= removed
 	}
-	return ok
+	return removed
 }
 
-// split divides the subtree into [0,i) and [i,length).
+// split divides the subtree into runes [0,i) and [i,length).
 func split(n *ropeNode, i int) (*ropeNode, *ropeNode) {
 	if n == nil {
 		return nil, nil
@@ -191,9 +317,10 @@ func split(n *ropeNode, i int) (*ropeNode, *ropeNode) {
 			return n, nil
 		}
 		// Copy both halves so the original leaf stays immutable.
-		l := append([]rune(nil), n.runes[:i]...)
-		r := append([]rune(nil), n.runes[i:]...)
-		return leaf(l), leaf(r)
+		off := n.offset(i)
+		l := append([]byte(nil), n.text[:off]...)
+		r := append([]byte(nil), n.text[off:]...)
+		return leaf(l, i), leaf(r, n.length-i)
 	}
 	if i < n.left.length {
 		ll, lr := split(n.left, i)
@@ -203,26 +330,52 @@ func split(n *ropeNode, i int) (*ropeNode, *ropeNode) {
 	return concat(n.left, rl), rr
 }
 
-// Rope is a Buffer backed by a balanced rope: O(log n) insert/delete and
-// O(j-i + log n) slicing. Suitable for the large shared documents a
-// long-running collaborative session accumulates.
+// byteOffset returns the byte offset of rune i (0 ≤ i ≤ length) in the
+// subtree.
+func (n *ropeNode) byteOffset(i int) int {
+	off := 0
+	for !n.isLeaf() {
+		if i < n.left.length {
+			n = n.left
+		} else {
+			i -= n.left.length
+			off += n.left.size
+			n = n.right
+		}
+	}
+	return off + n.offset(i)
+}
+
+// appendBytes writes the subtree's bytes [i, j) to sb.
+func (n *ropeNode) appendBytes(sb *strings.Builder, i, j int) {
+	if i >= j {
+		return
+	}
+	if n.isLeaf() {
+		sb.Write(n.text[i:j])
+		return
+	}
+	ls := n.left.size
+	if i < ls {
+		n.left.appendBytes(sb, i, min(j, ls))
+	}
+	if j > ls {
+		n.right.appendBytes(sb, max(i-ls, 0), j-ls)
+	}
+}
+
+// Rope is a Buffer backed by a balanced rope of UTF-8 leaves: O(log n)
+// insert/delete and O(j-i + log n) slicing, one byte per ASCII character.
+// Suitable for the large shared documents a long-running collaborative
+// session accumulates.
 type Rope struct {
 	root *ropeNode
 }
 
-// NewRope returns a Rope initialized with s.
+// NewRope returns a Rope initialized with op.ValidText(s): bytes that are not
+// valid UTF-8 become U+FFFD, one per byte, as []rune(s) maps them.
 func NewRope(s string) *Rope {
-	rs := []rune(s)
-	if len(rs) <= maxLeaf {
-		return &Rope{root: leaf(rs)}
-	}
-	var leaves []*ropeNode
-	for len(rs) > 0 {
-		n := min(maxLeaf, len(rs))
-		leaves = append(leaves, leaf(append([]rune(nil), rs[:n]...)))
-		rs = rs[n:]
-	}
-	return &Rope{root: buildBalanced(leaves)}
+	return &Rope{root: build(op.ValidText(s))}
 }
 
 // Len implements Buffer.
@@ -233,7 +386,7 @@ func (r *Rope) Len() int {
 	return r.root.length
 }
 
-// Insert implements Buffer.
+// Insert implements Buffer, inserting op.ValidText(s).
 func (r *Rope) Insert(pos int, s string) error {
 	if pos < 0 || pos > r.Len() {
 		return fmt.Errorf("rope insert at %d of %d: %w", pos, r.Len(), ErrRange)
@@ -241,18 +394,12 @@ func (r *Rope) Insert(pos int, s string) error {
 	if s == "" {
 		return nil
 	}
-	rs := []rune(s)
-	if r.root != nil && len(rs) <= maxLeaf/2 && r.root.tryInsert(pos, rs) {
+	s = op.ValidText(s)
+	if r.root != nil && len(s) <= maxLeaf/2 && r.root.tryInsert(pos, s, utf8.RuneCountInString(s)) {
 		return nil
 	}
-	var mid *ropeNode
-	if len(rs) <= maxLeaf {
-		mid = leaf(rs)
-	} else {
-		mid = NewRope(s).root
-	}
 	l, rt := split(r.root, pos)
-	r.root = concat(concat(l, mid), rt)
+	r.root = concat(concat(l, build(s)), rt)
 	return nil
 }
 
@@ -264,14 +411,14 @@ func (r *Rope) Delete(pos, n int) error {
 	if n == 0 {
 		return nil
 	}
-	if r.root != nil && r.root.tryDelete(pos, n) {
+	if r.root.tryDelete(pos, n) >= 0 {
 		return nil
 	}
 	l, rest := split(r.root, pos)
 	_, rt := split(rest, n)
 	r.root = concat(l, rt)
 	if r.root == nil {
-		r.root = leaf(nil)
+		r.root = leaf(nil, 0)
 	}
 	return nil
 }
@@ -281,33 +428,25 @@ func (r *Rope) Slice(i, j int) (string, error) {
 	if i < 0 || j < i || j > r.Len() {
 		return "", fmt.Errorf("rope slice [%d,%d) of %d: %w", i, j, r.Len(), ErrRange)
 	}
-	out := make([]rune, 0, j-i)
-	r.root.appendRange(&out, i, j)
-	return string(out), nil
-}
-
-func (n *ropeNode) appendRange(out *[]rune, i, j int) {
-	if n == nil || i >= j || i >= n.length {
-		return
+	if i == j {
+		return "", nil
 	}
-	if n.isLeaf() {
-		lo, hi := max(i, 0), min(j, n.length)
-		*out = append(*out, n.runes[lo:hi]...)
-		return
-	}
-	ll := n.left.length
-	if i < ll {
-		n.left.appendRange(out, i, min(j, ll))
-	}
-	if j > ll {
-		n.right.appendRange(out, max(i-ll, 0), j-ll)
-	}
+	lo, hi := r.root.byteOffset(i), r.root.byteOffset(j)
+	var sb strings.Builder
+	sb.Grow(hi - lo)
+	r.root.appendBytes(&sb, lo, hi)
+	return sb.String(), nil
 }
 
 // String implements Buffer.
 func (r *Rope) String() string {
-	s, _ := r.Slice(0, r.Len())
-	return s
+	if r.Len() == 0 {
+		return ""
+	}
+	var sb strings.Builder
+	sb.Grow(r.root.size)
+	r.root.appendBytes(&sb, 0, r.root.size)
+	return sb.String()
 }
 
 // Depth reports the current tree height; exported for balance tests.

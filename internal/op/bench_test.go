@@ -69,7 +69,7 @@ func BenchmarkInvert(b *testing.B) {
 	x, _, doc := benchOps(4096)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Invert(x, doc); err != nil {
+		if _, err := invertRunes(x, doc); err != nil {
 			b.Fatal(err)
 		}
 	}

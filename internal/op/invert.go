@@ -2,17 +2,19 @@ package op
 
 import "fmt"
 
-// Invert returns the operation that undoes o on the document doc that o was
-// applied to (doc is the state *before* o). For every valid doc:
+// Invert returns the operation that undoes o on the document o was applied
+// to — the state *before* o, docLen runes long. For every valid doc:
 //
-//	apply(apply(doc, o), Invert(o, doc)) == doc
+//	apply(apply(doc, o), Invert(o, len(doc), doc.Slice)) == doc
 //
 // Inversion needs the base document because a delete does not record the
-// text it removed.
-func Invert(o *Op, doc []rune) (*Op, error) {
-	if len(doc) != o.baseLen {
+// text it removed; slice (doc.Buffer.Slice fits) is asked for exactly those
+// runs, one call per delete component, so the cost is the deleted text plus
+// one lookup per run rather than a copy of the document.
+func Invert(o *Op, docLen int, slice func(i, j int) (string, error)) (*Op, error) {
+	if docLen != o.baseLen {
 		return nil, fmt.Errorf("op: invert against %d runes: %w (need %d)",
-			len(doc), ErrLengthMismatch, o.baseLen)
+			docLen, ErrLengthMismatch, o.baseLen)
 	}
 	inv := New()
 	pos := 0
@@ -24,7 +26,11 @@ func Invert(o *Op, doc []rune) (*Op, error) {
 		case KInsert:
 			inv.Delete(c.N)
 		case KDelete:
-			inv.Insert(string(doc[pos : pos+c.N]))
+			deleted, err := slice(pos, pos+c.N)
+			if err != nil {
+				return nil, fmt.Errorf("op: invert: read deleted runes [%d,%d): %w", pos, pos+c.N, err)
+			}
+			inv.Insert(deleted)
 			pos += c.N
 		}
 	}

@@ -45,8 +45,8 @@ func (k Kind) String() string {
 }
 
 // Comp is a single component of an operation. For KRetain and KDelete the N
-// field holds the rune count; for KInsert, S holds the inserted text and N
-// caches its rune length.
+// field holds the rune count; for KInsert, S holds the inserted text — always
+// valid UTF-8 — and N caches its rune length.
 type Comp struct {
 	Kind Kind
 	N    int
@@ -101,11 +101,24 @@ func (o *Op) Retain(n int) *Op {
 	return o
 }
 
-// Insert appends an insertion of s. An empty s is ignored.
+// ValidText returns s with each byte that is not part of a valid UTF-8
+// encoding replaced by U+FFFD, one per byte as []rune(s) maps them, so the
+// rune count is unchanged. Valid text is returned as is, uncopied. Every
+// stored text — insert components, and doc.Rope's leaves — goes through it.
+func ValidText(s string) string {
+	if utf8.ValidString(s) {
+		return s
+	}
+	return string([]rune(s))
+}
+
+// Insert appends an insertion of ValidText(s), so two fragments of one
+// character never concatenate into it. An empty s is ignored.
 func (o *Op) Insert(s string) *Op {
 	if s == "" {
 		return o
 	}
+	s = ValidText(s)
 	n := utf8.RuneCountInString(s)
 	o.tgtLen += n
 	l := len(o.comps)
@@ -221,7 +234,8 @@ func (o *Op) ApplyString(doc string) (string, error) {
 }
 
 // Validate checks internal consistency of the component sequence against the
-// cached lengths. It is used by the wire decoder and by tests.
+// cached lengths, and that every insert is valid UTF-8 of its recorded rune
+// length. Tests use it; FromComps, which decoders call, enforces the same.
 func (o *Op) Validate() error {
 	base, tgt := 0, 0
 	for i, c := range o.comps {
@@ -233,7 +247,7 @@ func (o *Op) Validate() error {
 			base += c.N
 			tgt += c.N
 		case KInsert:
-			if c.S == "" || c.N != utf8.RuneCountInString(c.S) {
+			if c.S == "" || !utf8.ValidString(c.S) || c.N != utf8.RuneCountInString(c.S) {
 				return fmt.Errorf("op: comp %d: bad insert: %w", i, ErrInvalidOp)
 			}
 			tgt += c.N
@@ -254,7 +268,9 @@ func (o *Op) Validate() error {
 }
 
 // FromComps reconstructs an operation from a raw component sequence (as read
-// off the wire), recomputing lengths and canonicalizing.
+// off the wire or a checkpoint), recomputing lengths and canonicalizing. An
+// insert whose text is not valid UTF-8 is refused, not repaired: it did not
+// come from Insert.
 func FromComps(comps []Comp) (*Op, error) {
 	o := New()
 	for i, c := range comps {
@@ -267,6 +283,9 @@ func FromComps(comps []Comp) (*Op, error) {
 		case KInsert:
 			if c.S == "" {
 				return nil, fmt.Errorf("op: comp %d: empty insert: %w", i, ErrInvalidOp)
+			}
+			if !utf8.ValidString(c.S) {
+				return nil, fmt.Errorf("op: comp %d: insert is not valid UTF-8: %w", i, ErrInvalidOp)
 			}
 			o.Insert(c.S)
 		case KDelete:

@@ -214,6 +214,61 @@ func TestFromComps(t *testing.T) {
 	}
 }
 
+// TestInsertTextIsValidUTF8: two inserts that each pass Validate ("\xe6",
+// then "\x97\xa5" right after it) used to compose into `insert "日"` with
+// N=3, which fails it — an op whose TargetLen was 5 producing a 3-rune
+// document. Insert text is now valid UTF-8 by construction (each invalid
+// byte one U+FFFD, as []rune maps it), and FromComps refuses the same op
+// arriving from a wire frame or a checkpoint.
+func TestInsertTextIsValidUTF8(t *testing.T) {
+	const fffd3 = "���"
+	for _, tc := range []struct {
+		name       string
+		build      func() (*Op, error)
+		base, want string
+	}{
+		{"compose of the two fragments", func() (*Op, error) {
+			return Compose(New().Retain(1).Insert("\xe6").Retain(1), New().Retain(2).Insert("\x97\xa5").Retain(1))
+		}, "ab", "a" + fffd3 + "b"},
+		{"fragments in one builder", func() (*Op, error) {
+			return New().Retain(1).Insert("\xe6").Insert("\x97\xa5").Retain(1), nil
+		}, "ab", "a" + fffd3 + "b"},
+		{"NewInsert", func() (*Op, error) { return NewInsert(2, 2, "x\xffy") }, "ab", "abx�y"},
+		{"NewReplace", func() (*Op, error) { return NewReplace(2, 0, 1, "\xed\xa0\x80") }, "ab", fffd3 + "b"},
+		{"valid text untouched", func() (*Op, error) { return NewInsert(0, 0, "日本") }, "", "日本"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := o.Validate(); err != nil {
+				t.Fatalf("%v: %v", o, err)
+			}
+			got, err := o.ApplyString(tc.base)
+			if err != nil || got != tc.want {
+				t.Fatalf("%v applied to %q = %q (%v), want %q", o, tc.base, got, err, tc.want)
+			}
+			if o.TargetLen() != RuneLen(got) {
+				t.Fatalf("TargetLen %d, result has %d runes", o.TargetLen(), RuneLen(got))
+			}
+		})
+	}
+
+	for i, comps := range [][]Comp{
+		{{Kind: KRetain, N: 1}, {Kind: KInsert, S: "\xe6"}, {Kind: KInsert, S: "\x97\xa5"}, {Kind: KRetain, N: 1}},
+		{{Kind: KInsert, S: "ok\xff"}},
+	} {
+		if o, err := FromComps(comps); !errors.Is(err, ErrInvalidOp) {
+			t.Fatalf("FromComps case %d = %v, %v; want ErrInvalidOp", i, o, err)
+		}
+	}
+	raw := &Op{comps: []Comp{{Kind: KInsert, N: 3, S: "\xe6\x97"}}, tgtLen: 3}
+	if err := raw.Validate(); !errors.Is(err, ErrInvalidOp) {
+		t.Fatalf("Validate accepted an insert of invalid UTF-8: %v", err)
+	}
+}
+
 func TestKindString(t *testing.T) {
 	if KRetain.String() != "retain" || KInsert.String() != "insert" || KDelete.String() != "delete" {
 		t.Fatal("kind names wrong")

@@ -105,7 +105,7 @@ func TestQuickComposeAgreesWithSequentialApply(t *testing.T) {
 // TestQuickInvertRoundTrip.
 func TestQuickInvertRoundTrip(t *testing.T) {
 	f := func(c opCase) bool {
-		inv, err := Invert(c.A, c.Doc)
+		inv, err := invertRunes(c.A, c.Doc)
 		if err != nil {
 			return false
 		}

@@ -53,6 +53,9 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{byte(TAck), 5, 64, 0})
 	f.Add([]byte{byte(TAck | traceBit), 5, 64})
 
+	// Insert text that is not valid UTF-8: two fragments of one character.
+	f.Add(utf8SplitFrame)
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
 		if err != nil {

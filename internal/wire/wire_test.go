@@ -187,6 +187,54 @@ func TestDecodeCorruptOp(t *testing.T) {
 	}
 }
 
+// utf8SplitFrame is a ClientOp body carrying [retain 1, insert "\xe6",
+// insert "\x97\xa5", retain 1]: each insert a fragment of 日, which a decoder
+// that concatenated them would accept as `insert "日"` claiming 3 runes.
+var utf8SplitFrame = []byte{byte(TClientOp), 1, 0, 1, 1, 1,
+	4, byte(op.KRetain), 1, byte(op.KInsert), 1, 0xe6, byte(op.KInsert), 2, 0x97, 0xa5, byte(op.KRetain), 1}
+
+// TestInsertTextUTF8 covers the wire's side of insert text being UTF-8: a
+// frame whose insert is not valid UTF-8 is refused, and an op composed from
+// two invalid fragments (normalized by op.Insert) travels intact.
+func TestInsertTextUTF8(t *testing.T) {
+	valid := append([]byte(nil), utf8SplitFrame...)
+	copy(valid[11:], "a")
+	copy(valid[14:], "bc")
+	composed, err := op.Compose(op.New().Retain(1).Insert("\xe6").Retain(1), op.New().Retain(2).Insert("\x97\xa5").Retain(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	composedFrame, err := Append(nil, ClientOp{From: 1, TS: core.Timestamp{T2: 1}, Ref: causal.OpRef{Site: 1, Seq: 1}, Op: composed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		want  string // the op decoded, or "" for ErrCorrupt
+	}{
+		{"fragments of one character in one frame", utf8SplitFrame, ""},
+		{"the same frame with valid text", valid, `retain(1) insert("abc") retain(1)`},
+		{"compose of the two fragments", composedFrame, `retain(1) insert("���") retain(1)`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := Decode(tc.frame)
+			if tc.want == "" {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("decoded %+v, %v; want ErrCorrupt", m, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if o := m.(ClientOp).Op; o.String() != tc.want || o.Validate() != nil {
+				t.Fatalf("decoded %v (%v), want %s", o, o.Validate(), tc.want)
+			}
+		})
+	}
+}
+
 func TestVCRoundTrip(t *testing.T) {
 	v := vclock.VC{0, 1, 128, 1 << 40}
 	b := AppendVC(nil, v)
