@@ -1,7 +1,7 @@
 package repro
 
-// Ablation benchmarks for the design choices DESIGN.md calls out: document
-// buffer implementation, history-buffer compaction, and undo tracking cost.
+// Ablation benchmarks for the design choices DESIGN.md calls out:
+// history-buffer compaction, undo tracking cost, and oracle validation.
 
 import (
 	"fmt"
@@ -9,36 +9,8 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/doc"
 	"repro/internal/sim"
 )
-
-// BenchmarkAblationBufferImpl runs the same engine workload over the rope
-// and the plain rune slice it is tested against. Front edits are the
-// slice's worst case: it moves the whole document per edit.
-func BenchmarkAblationBufferImpl(b *testing.B) {
-	mk := map[string]func(string) doc.Buffer{
-		"rope":   func(s string) doc.Buffer { return doc.NewRope(s) },
-		"simple": func(s string) doc.Buffer { return doc.NewSimple(s) },
-	}
-	seed := strings.Repeat("0123456789", 2000) // 20k-rune steady-state doc
-	for name, newBuf := range mk {
-		b.Run(name, func(b *testing.B) {
-			c := core.NewClient(1, seed, core.WithClientBuffer(newBuf(seed)), core.WithClientCompaction(1))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// Front edits — the pathological case for contiguous
-				// buffers — at constant document size.
-				if _, err := c.Insert(0, "ab"); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := c.Delete(0, 2); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkAblationCompaction measures the effect of history-buffer GC on a
 // steady-state session: without it, formula-(5)/(7) scans grow with session

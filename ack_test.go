@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/server"
-	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -89,7 +88,7 @@ func TestAckedAudienceOverTCP(t *testing.T) {
 	acked := func(want int64) {
 		t.Helper()
 		deadline := time.Now().Add(30 * time.Second)
-		for session().Counters[trace.CAcksReceived] < want {
+		for session().Counters[core.CAcksReceived] < want {
 			if time.Now().After(deadline) {
 				t.Fatalf("acks.received stuck below %d", want)
 			}
@@ -128,10 +127,10 @@ func TestAckedAudienceOverTCP(t *testing.T) {
 	}
 	// Each of the four sends one acknowledgement per AckEvery integrations;
 	// the last may still be on its link.
-	if got, min := session().Counters[trace.CAcksReceived], int64(len(audience)*(edits/core.AckEvery-1)); got < min {
+	if got, min := session().Counters[core.CAcksReceived], int64(len(audience)*(edits/core.AckEvery-1)); got < min {
 		t.Fatalf("acks.received = %d, want at least %d", got, min)
 	}
-	if stale := session().Counters[trace.CAcksStale]; stale != 0 {
+	if stale := session().Counters[core.CAcksStale]; stale != 0 {
 		t.Fatalf("acks.stale = %d from editors that acknowledge in order", stale)
 	}
 }

@@ -1,11 +1,9 @@
-// Command cvclint runs the repo's causality-invariant analyzers
-// (internal/lint) over the module and reports file:line diagnostics,
+// Command cvclint runs the repo's analyzers (internal/lint: errdrop,
+// nopanic) over the module and reports file:line diagnostics,
 // exiting non-zero on findings.
 //
 //	cvclint ./...            # analyze every package in the module
 //	cvclint ./internal/core  # analyze specific directories
-//	cvclint -list            # describe the analyzer suite
-//	cvclint -only errdrop,opalias ./...
 //	cvclint -summary ./...   # append a per-analyzer findings count
 //	cvclint -budget          # allocation-budget gate (lint/budget.json)
 //
@@ -18,7 +16,8 @@
 //
 // Findings are suppressed by an inline `//lint:allow <analyzer>: <reason>`
 // comment on the offending line or the line above; -show-suppressed prints
-// those too (without affecting the exit code).
+// those too (without affecting the exit code). A suppression naming an
+// unknown analyzer or giving no reason is a load error (exit 2).
 package main
 
 import (
@@ -37,8 +36,6 @@ func main() {
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("cvclint", flag.ExitOnError)
-	list := fs.Bool("list", false, "list analyzers and exit")
-	only := fs.String("only", "", "comma-separated subset of analyzers to run")
 	showSuppressed := fs.Bool("show-suppressed", false, "also print findings silenced by //lint:allow")
 	summary := fs.Bool("summary", false, "print a per-analyzer findings count after the run")
 	budget := fs.Bool("budget", false, "run the allocation-budget gate instead of the analyzers")
@@ -53,20 +50,6 @@ func run(args []string) int {
 	}
 
 	analyzers := lint.All()
-	if *only != "" {
-		var err error
-		if analyzers, err = lint.ByName(*only); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-	}
-	if *list {
-		for _, a := range analyzers {
-			fmt.Printf("%-10s %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-
 	moduleDir, err := findModuleRoot()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cvclint:", err)

@@ -87,7 +87,7 @@ func e3() (*stats.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			msgs := float64(res.Metrics.Get("ops.generated") + res.Metrics.Get("ops.integrated"))
+			msgs := float64(res.Metrics.Counter(core.COpsGenerated).Load() + res.Metrics.Counter(core.COpsIntegrated).Load())
 			cvc.Add(float64(res.TimestampBytes) / msgs)
 			full.Add(float64(res.FullVCTimestampBytes) / msgs)
 		}

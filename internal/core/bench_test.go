@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/trace"
+	"repro/internal/obs"
 	"repro/internal/vclock"
 )
 
@@ -73,7 +73,7 @@ func BenchmarkLaggedCatchup(b *testing.B) {
 			composeDepth int
 		}{{"composed", defaultComposeDepth}, {"pairwise", 0}} {
 			b.Run(fmt.Sprintf("depth=%d/path=%s", depth, path.name), func(b *testing.B) {
-				met := trace.NewMetrics()
+				met := obs.NewRegistry("")
 				srv := NewServer("seed", WithServerCompaction(0),
 					WithServerComposeDepth(path.composeDepth), WithServerMetrics(met))
 				var clients [2]*Client
@@ -97,7 +97,7 @@ func BenchmarkLaggedCatchup(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				t0, c0 := met.Get(trace.CTransforms), met.Get(trace.CComposes)
+				t0, c0 := met.Counter(CTransforms).Load(), met.Counter(CComposes).Load()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -111,8 +111,8 @@ func BenchmarkLaggedCatchup(b *testing.B) {
 				}
 				b.StopTimer()
 				n := float64(b.N)
-				b.ReportMetric(float64(met.Get(trace.CTransforms)-t0)/n, "transforms/op")
-				b.ReportMetric(float64(met.Get(trace.CComposes)-c0)/n, "composes/op")
+				b.ReportMetric(float64(met.Counter(CTransforms).Load()-t0)/n, "transforms/op")
+				b.ReportMetric(float64(met.Counter(CComposes).Load()-c0)/n, "composes/op")
 			})
 		}
 	}
@@ -125,7 +125,7 @@ func BenchmarkLaggedCatchup(b *testing.B) {
 func TestLaggedCatchupTransformReduction(t *testing.T) {
 	const depth, burst = 512, 32
 	run := func(composeDepth int) (transformsPerOp float64, text string) {
-		met := trace.NewMetrics()
+		met := obs.NewRegistry("")
 		srv := NewServer("seed", WithServerCompaction(0),
 			WithServerComposeDepth(composeDepth), WithServerMetrics(met))
 		var clients [2]*Client
@@ -146,7 +146,7 @@ func TestLaggedCatchupTransformReduction(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		before := met.Get(trace.CTransforms)
+		before := met.Counter(CTransforms).Load()
 		for i := 0; i < burst; i++ {
 			m, err := laggard.Insert(laggard.DocLen(), "y")
 			if err != nil {
@@ -159,7 +159,7 @@ func TestLaggedCatchupTransformReduction(t *testing.T) {
 		if err := srv.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		return float64(met.Get(trace.CTransforms)-before) / burst, srv.Text()
+		return float64(met.Counter(CTransforms).Load()-before) / burst, srv.Text()
 	}
 	composed, composedText := run(defaultComposeDepth)
 	pairwise, pairwiseText := run(0)

@@ -101,8 +101,8 @@ func (s *Server) Checkpoint() ([]byte, error) {
 
 // RestoreServer rebuilds a live engine from a Checkpoint. Engine options
 // that configure behavior (compaction cadence, compose depth, metrics,
-// decision ring, check trace) apply as usual; WithServerBuffer is ignored —
-// the document always comes from the checkpoint, loaded into a fresh rope.
+// decision ring, check trace) apply as usual; the document comes from the
+// checkpoint, loaded into a fresh rope.
 // The restored engine is observably equivalent to the one checkpointed: same
 // verdicts, same broadcasts, same invariants (TestCheckpointContinuation
 // runs the two side by side).

@@ -6,9 +6,7 @@ import (
 
 	"repro/internal/causal"
 	"repro/internal/doc"
-	"repro/internal/obs"
 	"repro/internal/op"
-	"repro/internal/trace"
 )
 
 // Client engine errors.
@@ -35,7 +33,7 @@ type Client struct {
 	site int
 	mode Mode
 	sv   ClientSV
-	buf  doc.Buffer
+	buf  *doc.Rope
 	hb   ClientHB
 
 	// pending holds local operations the notifier has not yet incorporated
@@ -81,15 +79,6 @@ type Client struct {
 	// undo, when non-nil, tracks inverses of local operations (see
 	// undo.go). Mutually exclusive with compaction.
 	undo *undoStack
-
-	// metrics, when non-nil, receives engine counters (trace package
-	// names).
-	metrics *trace.Metrics
-
-	// decisions, when non-nil and enabled, records every formula-(5)
-	// verdict and a per-Integrate summary (WithClientDecisionRing).
-	decisions     *obs.DecisionRing
-	decisionLabel string
 }
 
 type pendingLocal struct {
@@ -99,11 +88,6 @@ type pendingLocal struct {
 
 // ClientOption configures a Client.
 type ClientOption func(*Client)
-
-// WithClientBuffer substitutes the document implementation (default: rope).
-func WithClientBuffer(b doc.Buffer) ClientOption {
-	return func(c *Client) { c.buf = b }
-}
 
 // WithClientMode sets the operating mode (default: ModeTransform).
 func WithClientMode(m Mode) ClientOption {
@@ -131,35 +115,12 @@ func WithClientResume(localOps uint64) ClientOption {
 	return func(c *Client) { c.sv.Local = localOps }
 }
 
-// WithClientMetrics attaches a metrics sink counting generated/integrated
-// operations, concurrency checks, and transformations.
-func WithClientMetrics(m *trace.Metrics) ClientOption {
-	return func(c *Client) { c.metrics = m }
-}
-
-// WithClientDecisionRing streams every formula-(5) concurrency verdict and a
-// per-Integrate summary into ring, labeled with session. While the ring is
-// disabled the cost is one atomic load per Integrate.
-func WithClientDecisionRing(ring *obs.DecisionRing, session string) ClientOption {
-	return func(c *Client) {
-		c.decisions = ring
-		c.decisionLabel = session
-	}
-}
-
 // WithClientCheckTrace records every per-entry concurrency verdict into
 // IntegrationResult.Checks. Validation harnesses need the trace to replay
 // verdicts against the ground-truth oracle; the default path only counts
 // (ConcurrentCount/CheckCount) and allocates nothing per check.
 func WithClientCheckTrace() ClientOption {
 	return func(c *Client) { c.checkTrace = true }
-}
-
-// count increments a counter when a sink is attached.
-func (c *Client) count(name string, delta int64) {
-	if c.metrics != nil {
-		c.metrics.Inc(name, delta)
-	}
 }
 
 // NewClient returns the engine for site (which must be >= 1), initialized
@@ -169,23 +130,9 @@ func NewClient(site int, initial string, opts ...ClientOption) *Client {
 		//lint:allow nopanic: constructor precondition — site 0 is the notifier (§3.2); a violation is a caller bug
 		panic(fmt.Sprintf("core: client site must be >= 1, got %d", site))
 	}
-	c := &Client{site: site, compactEvery: 64, composeDepth: defaultComposeDepth}
+	c := &Client{site: site, buf: doc.NewRope(initial), compactEvery: 64, composeDepth: defaultComposeDepth}
 	for _, o := range opts {
 		o(c)
-	}
-	// Pre-create the cache counters so an attached registry exposes the
-	// full catalogue deterministically (see NewServer).
-	c.count(trace.CCacheHits, 0)
-	c.count(trace.CCacheMisses, 0)
-	c.count(trace.CComposes, 0)
-	if c.buf == nil {
-		c.buf = doc.NewRope(initial)
-	} else if c.buf.Len() > 0 || initial != "" {
-		// A caller-provided buffer must start out equal to the snapshot.
-		if c.buf.String() != initial {
-			//lint:allow nopanic: constructor precondition — a divergent injected buffer is a caller bug, not a runtime state
-			panic("core: provided buffer disagrees with snapshot")
-		}
 	}
 	return c
 }
@@ -250,11 +197,9 @@ func (c *Client) Generate(o *op.Op) (ClientMsg, error) {
 			if c.pcomp, err = op.Compose(c.pcomp, o); err != nil {
 				return ClientMsg{}, fmt.Errorf("core: pending compose: %w", err)
 			}
-			c.count(trace.CComposes, 1)
 		}
 		c.pending = append(c.pending, pendingLocal{seq: c.sv.Local, op: o.Clone()})
 	}
-	c.count(trace.COpsGenerated, 1)
 	return ClientMsg{From: c.site, Op: o, TS: ts, Ref: ref}, nil
 }
 
@@ -293,12 +238,11 @@ func (c *Client) Integrate(m ServerMsg) (IntegrationResult, error) {
 
 	// Concurrency detection — the paper's formula (5). The hot path reads
 	// the count off the history buffer's boundary index in O(log HB)
-	// (ConcurrentCount); tracing forces the linear reference walk, which
-	// the differential tests hold to the same verdicts.
+	// (ConcurrentCount); the check trace forces the linear reference walk,
+	// which the differential tests hold to the same verdicts.
 	res := IntegrationResult{CheckCount: c.hb.Len()}
-	tracing := c.decisions.Enabled()
-	if c.checkTrace || tracing {
-		res.ConcurrentCount, res.Checks = c.tracedChecks(m, c.hb.Entries(), tracing)
+	if c.checkTrace {
+		res.ConcurrentCount, res.Checks = c.tracedChecks(m, c.hb.Entries())
 	} else {
 		res.ConcurrentCount = c.hb.ConcurrentCount(m.TS)
 	}
@@ -312,14 +256,13 @@ func (c *Client) Integrate(m ServerMsg) (IntegrationResult, error) {
 		if err != nil {
 			return IntegrationResult{}, err
 		}
-		c.count(trace.CTransforms, int64(transforms))
 		if err := doc.Apply(c.buf, exec); err != nil {
 			return IntegrationResult{}, fmt.Errorf("core: client apply: %w", err)
 		}
 	case ModeRelay:
 		// Ablation: execute the original form, clamped. Documents are
 		// expected to diverge; that is the point of E8.
-		applyLoose(c.buf, exec)
+		doc.ApplyPositional(c.buf, op.Positionals(exec)...)
 	}
 	res.Transforms = transforms
 
@@ -327,18 +270,12 @@ func (c *Client) Integrate(m ServerMsg) (IntegrationResult, error) {
 	c.silent++
 	c.hb.Add(ClientEntry{Op: exec, TS: m.TS, Origin: OriginServer, Ref: m.Ref})
 	res.Executed = exec
-	c.count(trace.COpsIntegrated, 1)
-	c.count(trace.CConcurrencyChecks, int64(res.CheckCount))
-	c.count(trace.CConcurrentPairs, int64(res.ConcurrentCount))
-	if tracing {
-		c.recordIntegrate(m, res.CheckCount, res.ConcurrentCount, transforms)
-	}
 
 	if c.compactEvery > 0 && c.undo == nil {
 		c.sinceCompact++
 		if c.sinceCompact >= c.compactEvery {
 			c.sinceCompact = 0
-			c.compactWith(m.TS.T2)
+			c.hb.Compact(m.TS.T2)
 		}
 	}
 	return res, nil
@@ -410,7 +347,6 @@ func (c *Client) pendingWalk(m ServerMsg) (*op.Op, int, error) {
 			}
 			transforms++
 			c.punfolded = append(c.punfolded, deferredFold{op: m.Op, maxSeq: c.pending[k-1].seq})
-			c.count(trace.CCacheHits, 1)
 			return exec, transforms, nil
 		}
 		// The arrival's inserts collide with a deleted region where the
@@ -433,7 +369,6 @@ func (c *Client) pendingWalk(m ServerMsg) (*op.Op, int, error) {
 		if err != nil {
 			return nil, 0, fmt.Errorf("core: pending compose: %w", err)
 		}
-		c.count(trace.CComposes, int64(k-1))
 		if op.ComposedTransformSafe(comp, exec) {
 			exec, c.pcomp, err = op.Transform(exec, comp)
 			if err != nil {
@@ -441,7 +376,6 @@ func (c *Client) pendingWalk(m ServerMsg) (*op.Op, int, error) {
 			}
 			transforms++
 			c.punfolded = append(c.punfolded, deferredFold{op: m.Op, maxSeq: c.pending[k-1].seq})
-			c.count(trace.CCacheMisses, 1)
 			return exec, transforms, nil
 		}
 		c.pcompHold = true
@@ -454,7 +388,6 @@ func (c *Client) pendingWalk(m ServerMsg) (*op.Op, int, error) {
 		}
 	}
 	transforms += k
-	c.count(trace.CCacheMisses, 1)
 	return exec, transforms, nil
 }
 
@@ -496,44 +429,21 @@ func composePending(pending []pendingLocal) (*op.Op, error) {
 }
 
 // tracedChecks is the cold variant of Integrate's formula-(5) scan, run only
-// when the check trace or decision tracing is on. Keeping it out of
-// Integrate (and not inlined) leaves the hot loop free of trace branches and
-// Decision literals — same reasoning as Server.tracedVisit.
+// when the check trace is on. Keeping it out of Integrate (and not inlined)
+// leaves the hot loop free of trace branches — same reasoning as
+// Server.tracedVisit.
 //
 //go:noinline
-func (c *Client) tracedChecks(m ServerMsg, entries []ClientEntry, tracing bool) (conc int, checks []Check) {
-	if c.checkTrace {
-		checks = make([]Check, 0, len(entries))
-	}
-	for i, e := range entries {
+func (c *Client) tracedChecks(m ServerMsg, entries []ClientEntry) (conc int, checks []Check) {
+	checks = make([]Check, 0, len(entries))
+	for _, e := range entries {
 		cc := ConcurrentClient(m.TS, e.TS, e.Origin == OriginServer)
 		if cc {
 			conc++
 		}
-		if c.checkTrace {
-			checks = append(checks, Check{Arriving: m.Ref, Buffered: e.Ref, Concurrent: cc})
-		}
-		if tracing {
-			c.decisions.Record(obs.Decision{
-				Kind: obs.DClientCheck, Session: c.decisionLabel,
-				Site: c.site, T1: m.TS.T1, T2: m.TS.T2,
-				Index: i, Concurrent: cc,
-			})
-		}
+		checks = append(checks, Check{Arriving: m.Ref, Buffered: e.Ref, Concurrent: cc})
 	}
 	return conc, checks
-}
-
-// recordIntegrate emits the per-Integrate summary trace record; see
-// recordCheck for why it is not inlined.
-//
-//go:noinline
-func (c *Client) recordIntegrate(m ServerMsg, checkCount, concCount, transforms int) {
-	c.decisions.Record(obs.Decision{
-		Kind: obs.DClientIntegrate, Session: c.decisionLabel,
-		Site: c.site, T1: m.TS.T1, T2: m.TS.T2, Index: -1,
-		Checks: checkCount, NConc: concCount, Transforms: transforms,
-	})
 }
 
 // Compact forces history-buffer garbage collection using the latest
@@ -546,13 +456,32 @@ func (c *Client) Compact() int {
 			acked = e.TS.T2
 		}
 	}
-	return c.compactWith(acked)
+	return c.hb.Compact(acked)
 }
 
-// compactWith runs one compaction round and counts it.
-func (c *Client) compactWith(acked uint64) int {
-	removed := c.hb.Compact(acked)
-	c.count(trace.CCompactions, 1)
-	c.count(trace.CCompacted, int64(removed))
-	return removed
+// checkInvariants is the client mirror of Server.checkInvariants: every
+// operation the engine holds — executed (the history buffer), rebased (the
+// pending list) or composed (pcomp) — passes op.Validate, and a composed
+// cache ends at the current document.
+func (c *Client) checkInvariants() error {
+	for i, e := range c.hb.Entries() {
+		if err := e.Op.Validate(); err != nil {
+			return fmt.Errorf("core: site %d: history entry %d (%v): %w", c.site, i, e.Ref, err)
+		}
+	}
+	for i, p := range c.pending {
+		if err := p.op.Validate(); err != nil {
+			return fmt.Errorf("core: site %d: pending[%d]: %w", c.site, i, err)
+		}
+	}
+	if c.pcomp != nil {
+		if err := c.pcomp.Validate(); err != nil {
+			return fmt.Errorf("core: site %d: composed cache: %w", c.site, err)
+		}
+		if c.pcomp.TargetLen() != c.buf.Len() {
+			return fmt.Errorf("core: site %d: composed cache targets %d runes, document has %d",
+				c.site, c.pcomp.TargetLen(), c.buf.Len())
+		}
+	}
+	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/causal"
-	"repro/internal/doc"
 	"repro/internal/op"
 )
 
@@ -16,25 +15,6 @@ func TestNewClientRejectsSiteZero(t *testing.T) {
 		}
 	}()
 	NewClient(0, "")
-}
-
-func TestNewClientRejectsMismatchedBuffer(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on buffer/snapshot mismatch")
-		}
-	}()
-	NewClient(1, "abc", WithClientBuffer(doc.NewSimple("xyz")))
-}
-
-func TestClientCustomBuffer(t *testing.T) {
-	c := NewClient(1, "abc", WithClientBuffer(doc.NewSimple("abc")))
-	if _, err := c.Insert(3, "!"); err != nil {
-		t.Fatal(err)
-	}
-	if c.Text() != "abc!" {
-		t.Fatalf("custom buffer: %q", c.Text())
-	}
 }
 
 func TestGenerateUpdatesStateVector(t *testing.T) {

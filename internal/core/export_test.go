@@ -5,6 +5,9 @@ import "repro/internal/causal"
 // CheckInvariants exposes the engine's internal consistency checks to tests.
 func (s *Server) CheckInvariants() error { return s.checkInvariants() }
 
+// CheckInvariants exposes the client engine's consistency checks to tests.
+func (c *Client) CheckInvariants() error { return c.checkInvariants() }
+
 // PendingSeqs exposes the bridge contents for the concurrent-set ≡
 // pending-set cross-validation.
 func (c *Client) PendingSeqs() []uint64 {

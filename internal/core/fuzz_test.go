@@ -256,6 +256,9 @@ func fuzzDeliverClient(t *testing.T, fast, naive *fuzzWorld, site, step int) {
 	if err != nil {
 		t.Fatalf("step %d: fast integrate at %d: %v", step, site, err)
 	}
+	if err := fast.clients[site].CheckInvariants(); err != nil {
+		t.Fatalf("step %d: %v", step, err)
+	}
 	rn, err := naive.clients[site].Integrate(mn)
 	if err != nil {
 		t.Fatalf("step %d: naive integrate at %d: %v", step, site, err)

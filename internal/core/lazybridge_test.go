@@ -11,8 +11,8 @@ import (
 	"testing"
 
 	"repro/internal/causal"
+	"repro/internal/obs"
 	"repro/internal/op"
-	"repro/internal/trace"
 )
 
 // eagerBridges is the representation the notifier used before a bridge became
@@ -364,6 +364,11 @@ func (w *lazyWorld) compare() {
 	if err := w.srv.checkInvariants(); err != nil {
 		w.t.Fatal(err)
 	}
+	for _, c := range w.clients {
+		if err := c.checkInvariants(); err != nil {
+			w.t.Fatal(err)
+		}
+	}
 	for site, want := range w.model.bridge {
 		got := w.srv.bridgeOf(site)
 		if len(got) != len(want) || w.srv.BridgeLen(site) != len(want) {
@@ -415,7 +420,7 @@ func TestLazyBridgeDifferential(t *testing.T) {
 		for _, compactEvery := range []int{1, 16, 64} {
 			name := fmt.Sprintf("compose=%d/compact=%d", composeDepth, compactEvery)
 			t.Run(name, func(t *testing.T) {
-				met := trace.NewMetrics()
+				met := obs.NewRegistry("")
 				opts := []ServerOption{WithServerCompaction(compactEvery), WithServerComposeDepth(composeDepth), WithServerMetrics(met)}
 				digest := fnv.New64a()
 				materialised := 0
@@ -453,12 +458,12 @@ func TestLazyBridgeDifferential(t *testing.T) {
 				if materialised == 0 {
 					t.Fatal("no schedule ever materialised a bridge")
 				}
-				if composeDepth > 0 && met.Get(trace.CCacheHits) == 0 {
+				if composeDepth > 0 && met.Counter(CCacheHits).Load() == 0 {
 					t.Fatal("no schedule ever integrated through the composed cache")
 				}
-				if met.Get(trace.CAcksReceived) == 0 || met.Get(trace.CAcksStale) == 0 {
+				if met.Counter(CAcksReceived).Load() == 0 || met.Counter(CAcksStale).Load() == 0 {
 					t.Fatalf("%d acknowledgements advanced a frontier and %d were stale, want some of each",
-						met.Get(trace.CAcksReceived), met.Get(trace.CAcksStale))
+						met.Counter(CAcksReceived).Load(), met.Counter(CAcksStale).Load())
 				}
 			})
 		}

@@ -3,12 +3,11 @@ package core
 import (
 	"testing"
 
-	"repro/internal/trace"
+	"repro/internal/obs"
 )
 
 func TestEngineMetrics(t *testing.T) {
-	cm := trace.NewMetrics()
-	sm := trace.NewMetrics()
+	sm := obs.NewRegistry("")
 	srv := NewServer("", WithServerCompaction(0), WithServerMetrics(sm))
 	clients := map[int]*Client{}
 	for site := 1; site <= 2; site++ {
@@ -16,7 +15,7 @@ func TestEngineMetrics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		clients[site] = NewClient(site, snap.Text, WithClientCompaction(0), WithClientMetrics(cm))
+		clients[site] = NewClient(site, snap.Text, WithClientCompaction(0))
 	}
 
 	// Two concurrent ops: each transforms against the other somewhere.
@@ -36,24 +35,17 @@ func TestEngineMetrics(t *testing.T) {
 		}
 	}
 
-	if got := cm.Get(trace.COpsGenerated); got != 2 {
-		t.Fatalf("client ops generated: %d", got)
-	}
-	if got := cm.Get(trace.COpsIntegrated); got != 2 {
-		t.Fatalf("client ops integrated: %d", got)
-	}
-	if got := sm.Get(trace.COpsIntegrated); got != 2 {
+	if got := sm.Counter(COpsIntegrated).Load(); got != 2 {
 		t.Fatalf("server ops: %d", got)
 	}
-	// m2 was concurrent with m1 at the server (one transform); the client
-	// with the pending op transformed the arriving broadcast (one more).
-	if got := sm.Get(trace.CTransforms) + cm.Get(trace.CTransforms); got < 2 {
+	// m2 was concurrent with m1 at the server: one transform.
+	if got := sm.Counter(CTransforms).Load(); got != 1 {
 		t.Fatalf("transforms counted: %d", got)
 	}
-	if got := sm.Get(trace.CConcurrencyChecks); got != 1 {
+	if got := sm.Counter(CConcurrencyChecks).Load(); got != 1 {
 		t.Fatalf("server checks: %d", got)
 	}
-	if got := sm.Get(trace.CConcurrentPairs); got != 1 {
+	if got := sm.Counter(CConcurrentPairs).Load(); got != 1 {
 		t.Fatalf("server concurrent pairs: %d", got)
 	}
 }

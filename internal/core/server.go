@@ -9,7 +9,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/span"
 	"repro/internal/op"
-	"repro/internal/trace"
 )
 
 // Server is the engine of the notifier (site 0, the center of the star in
@@ -31,7 +30,7 @@ import (
 type Server struct {
 	mode Mode
 	sv   *ServerSV
-	buf  doc.Buffer
+	buf  *doc.Rope
 	hb   ServerHB
 
 	serverSeq uint64 // operations executed at site 0 (its generation counter)
@@ -56,8 +55,8 @@ type Server struct {
 	// per-check allocations.
 	checkTrace bool
 
-	// metrics, when non-nil, receives engine counters.
-	metrics *trace.Metrics
+	// metrics, when non-nil, receives engine counters (counters.go names).
+	metrics *obs.Registry
 
 	// decisions, when non-nil and enabled, records every formula-(7)
 	// verdict and a per-Receive summary (WithServerDecisionRing). Disabled
@@ -206,11 +205,6 @@ type bridgeOp struct {
 // ServerOption configures a Server.
 type ServerOption func(*Server)
 
-// WithServerBuffer substitutes the document implementation (default: rope).
-func WithServerBuffer(b doc.Buffer) ServerOption {
-	return func(s *Server) { s.buf = b }
-}
-
 // WithServerMode sets the operating mode (default: ModeTransform).
 func WithServerMode(m Mode) ServerOption {
 	return func(s *Server) { s.mode = m }
@@ -230,10 +224,10 @@ func WithServerComposeDepth(n int) ServerOption {
 	return func(s *Server) { s.composeDepth = n }
 }
 
-// WithServerMetrics attaches a metrics sink counting received operations,
-// concurrency checks, and transformations.
-func WithServerMetrics(m *trace.Metrics) ServerOption {
-	return func(s *Server) { s.metrics = m }
+// WithServerMetrics counts received operations, concurrency checks,
+// transformations, cache use, compactions and acknowledgements into reg.
+func WithServerMetrics(reg *obs.Registry) ServerOption {
+	return func(s *Server) { s.metrics = reg }
 }
 
 // WithServerDecisionRing streams every formula-(7) concurrency verdict and a
@@ -264,10 +258,10 @@ func WithServerCheckTrace() ServerOption {
 	return func(s *Server) { s.checkTrace = true }
 }
 
-// count increments a counter when a sink is attached.
+// count increments a counter when a registry is attached.
 func (s *Server) count(name string, delta int64) {
 	if s.metrics != nil {
-		s.metrics.Inc(name, delta)
+		s.metrics.Counter(name).Add(delta)
 	}
 }
 
@@ -282,9 +276,7 @@ func NewServer(initial string, opts ...ServerOption) *Server {
 	for _, o := range opts {
 		o(s)
 	}
-	if s.buf == nil {
-		s.buf = doc.NewRope(initial)
-	}
+	s.buf = doc.NewRope(initial)
 	s.warmCounters()
 	return s
 }
@@ -294,7 +286,7 @@ func NewServer(initial string, opts ...ServerOption) *Server {
 // after the first deep bridge or the first bare acknowledgement
 // (TestMetricsCatalog locks the exact name set).
 func (s *Server) warmCounters() {
-	for _, name := range [...]string{trace.CCacheHits, trace.CCacheMisses, trace.CComposes, trace.CAcksReceived, trace.CAcksStale} {
+	for _, name := range [...]string{CCacheHits, CCacheMisses, CComposes, CAcksReceived, CAcksStale} {
 		s.count(name, 0)
 	}
 }
@@ -448,13 +440,13 @@ func (s *Server) Ack(site int, t1 uint64) error {
 		return err
 	}
 	if t1 <= st.acked {
-		s.count(trace.CAcksStale, 1)
+		s.count(CAcksStale, 1)
 		return nil
 	}
 	if _, err := st.ack(t1); err != nil {
 		return fmt.Errorf("core: ack transform: %w", err)
 	}
-	s.count(trace.CAcksReceived, 1)
+	s.count(CAcksReceived, 1)
 	return nil
 }
 
@@ -494,13 +486,13 @@ func (s *Server) Receive(m ClientMsg) ([]ServerMsg, IntegrationResult, error) {
 			return nil, IntegrationResult{}, err
 		}
 		transforms += walked
-		s.count(trace.CTransforms, int64(transforms))
+		s.count(CTransforms, int64(transforms))
 		s.spans.Stamp(m.Trace, span.StageTransform)
 		if err := doc.Apply(s.buf, exec); err != nil {
 			return nil, IntegrationResult{}, fmt.Errorf("core: server apply: %w", err)
 		}
 	} else {
-		applyLoose(s.buf, exec)
+		doc.ApplyPositional(s.buf, op.Positionals(exec)...)
 	}
 	s.spans.Stamp(m.Trace, span.StageExecute)
 	res.Transforms = transforms
@@ -517,9 +509,9 @@ func (s *Server) Receive(m ClientMsg) ([]ServerMsg, IntegrationResult, error) {
 	}
 	s.hb.Add(ServerEntry{Op: exec, Origin: m.From, Ref: ref})
 	res.Executed = exec
-	s.count(trace.COpsIntegrated, 1)
-	s.count(trace.CConcurrencyChecks, int64(res.CheckCount))
-	s.count(trace.CConcurrentPairs, int64(res.ConcurrentCount))
+	s.count(COpsIntegrated, 1)
+	s.count(CConcurrencyChecks, int64(res.CheckCount))
+	s.count(CConcurrentPairs, int64(res.ConcurrentCount))
 	if tracing {
 		s.recordIntegrate(m, res.CheckCount, res.ConcurrentCount, transforms)
 	}
@@ -552,7 +544,7 @@ func (s *Server) Receive(m ClientMsg) ([]ServerMsg, IntegrationResult, error) {
 			if d.st.comp, err = op.Compose(d.st.comp, exec); err != nil {
 				return nil, IntegrationResult{}, fmt.Errorf("core: server compose: %w", err)
 			}
-			s.count(trace.CComposes, 1)
+			s.count(CComposes, 1)
 		}
 		out = append(out, ServerMsg{
 			To:      d.site,
@@ -611,7 +603,7 @@ func (s *Server) bridgeWalk(st *clientState, m ClientMsg) (*op.Op, int, error) {
 			}
 			transforms++
 			st.unfolded = append(st.unfolded, deferredFold{op: m.Op, maxSeq: st.bridge[k-1].seq})
-			s.count(trace.CCacheHits, 1)
+			s.count(CCacheHits, 1)
 			return exec, transforms, nil
 		}
 		// The arrival's inserts collide with a deleted region where the
@@ -638,7 +630,7 @@ func (s *Server) bridgeWalk(st *clientState, m ClientMsg) (*op.Op, int, error) {
 		if err != nil {
 			return nil, 0, fmt.Errorf("core: server compose: %w", err)
 		}
-		s.count(trace.CComposes, int64(k-1))
+		s.count(CComposes, int64(k-1))
 		if op.ComposedTransformSafe(comp, exec) {
 			st.comp, exec, err = op.Transform(comp, exec)
 			if err != nil {
@@ -646,7 +638,7 @@ func (s *Server) bridgeWalk(st *clientState, m ClientMsg) (*op.Op, int, error) {
 			}
 			transforms++
 			st.unfolded = append(st.unfolded, deferredFold{op: m.Op, maxSeq: st.bridge[k-1].seq})
-			s.count(trace.CCacheMisses, 1)
+			s.count(CCacheMisses, 1)
 			return exec, transforms, nil
 		}
 		st.compHold = true
@@ -660,7 +652,7 @@ func (s *Server) bridgeWalk(st *clientState, m ClientMsg) (*op.Op, int, error) {
 		}
 	}
 	transforms += k
-	s.count(trace.CCacheMisses, 1)
+	s.count(CCacheMisses, 1)
 	return exec, transforms, nil
 }
 
@@ -757,15 +749,22 @@ func (s *Server) recordIntegrate(m ClientMsg, checkCount, concCount, transforms 
 // acknowledgements from all joined sites; returns entries removed.
 func (s *Server) Compact() int {
 	removed := s.hb.Compact(s.destinations())
-	s.count(trace.CCompactions, 1)
-	s.count(trace.CCompacted, int64(removed))
+	s.count(CCompactions, 1)
+	s.count(CCompacted, int64(removed))
 	return removed
 }
 
 // checkInvariants verifies internal bookkeeping identities; test-only (via
 // export_test.go) but kept on the engine so integration tests can call it
-// after every step.
+// after every step. Every operation the engine built and still holds —
+// executed and broadcast (the history buffer), rebased (a materialised
+// bridge) or composed (a cache) — must pass op.Validate.
 func (s *Server) checkInvariants() error {
+	for i, e := range s.hb.Entries() {
+		if err := e.Op.Validate(); err != nil {
+			return fmt.Errorf("core: history entry %d (%v): %w", i, e.Ref, err)
+		}
+	}
 	for id, st := range s.clients {
 		if !st.joined {
 			continue
@@ -803,6 +802,9 @@ func (s *Server) checkInvariants() error {
 					return fmt.Errorf("core: site %d: bridge[%d] is (%d, %v), history buffer has (%d, %v)",
 						id, i, b.seq, b.ref, pending[i].seq, pending[i].ref)
 				}
+				if err := b.op.Validate(); err != nil {
+					return fmt.Errorf("core: site %d: bridge[%d]: %w", id, i, err)
+				}
 			}
 		}
 		if st.comp == nil && len(st.unfolded) > 0 {
@@ -811,9 +813,14 @@ func (s *Server) checkInvariants() error {
 		if st.comp != nil && len(st.bridge) == 0 {
 			return fmt.Errorf("core: site %d: composed cache over an empty bridge", id)
 		}
-		if st.comp != nil && st.comp.TargetLen() != s.buf.Len() {
-			return fmt.Errorf("core: site %d: composed cache targets %d runes, document has %d (stale cache?)",
-				id, st.comp.TargetLen(), s.buf.Len())
+		if st.comp != nil {
+			if st.comp.TargetLen() != s.buf.Len() {
+				return fmt.Errorf("core: site %d: composed cache targets %d runes, document has %d (stale cache?)",
+					id, st.comp.TargetLen(), s.buf.Len())
+			}
+			if err := st.comp.Validate(); err != nil {
+				return fmt.Errorf("core: site %d: composed cache: %w", id, err)
+			}
 		}
 	}
 	return nil

@@ -6,9 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/causal"
-	"repro/internal/doc"
+	"repro/internal/obs"
 	"repro/internal/op"
-	"repro/internal/trace"
 )
 
 func join(t *testing.T, srv *Server, site int, opts ...ClientOption) *Client {
@@ -446,7 +445,7 @@ func TestServerCompactionRespectsLaggard(t *testing.T) {
 // sent, a site that never joined, one that left — and what is merely late is
 // ignored and counted.
 func TestBareAckFreesLaggardsHistory(t *testing.T) {
-	met := trace.NewMetrics()
+	met := obs.NewRegistry("")
 	srv := NewServer("", WithServerCompaction(0), WithServerMetrics(met))
 	c1 := join(t, srv, 1)
 	c2 := join(t, srv, 2)
@@ -493,7 +492,7 @@ func TestBareAckFreesLaggardsHistory(t *testing.T) {
 			t.Fatalf("stale Ack(2, %d) = %v, bridge %d; want ignored", t1, err, srv.BridgeLen(2))
 		}
 	}
-	if got, stale := met.Get(trace.CAcksReceived), met.Get(trace.CAcksStale); got != 1 || stale != 2 {
+	if got, stale := met.Counter(CAcksReceived).Load(), met.Counter(CAcksStale).Load(); got != 1 || stale != 2 {
 		t.Fatalf("acks.received = %d, acks.stale = %d; want 1 and 2", got, stale)
 	}
 	if err := srv.Leave(2); err != nil {
@@ -529,7 +528,7 @@ func TestBareAckFreesLaggardsHistory(t *testing.T) {
 }
 
 func TestServerAccessorsAndOptions(t *testing.T) {
-	srv := NewServer("doc", WithServerMode(ModeRelay), WithServerBuffer(doc.NewSimple("doc")))
+	srv := NewServer("doc", WithServerMode(ModeRelay))
 	if srv.Mode() != ModeRelay || srv.Text() != "doc" {
 		t.Fatalf("options: %v %q", srv.Mode(), srv.Text())
 	}

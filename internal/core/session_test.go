@@ -167,6 +167,9 @@ func (h *harness) deliverToClient(site int) bool {
 	if err != nil {
 		h.t.Fatalf("client %d integrate: %v", site, err)
 	}
+	if err := c.CheckInvariants(); err != nil {
+		h.t.Fatal(err)
+	}
 	h.checks = append(h.checks, res.Checks...)
 	h.oracle.Execute(site, m.Ref)
 	if h.checkBridgeInvariant && !h.relay {

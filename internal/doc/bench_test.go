@@ -6,29 +6,20 @@ import (
 	"testing"
 )
 
-// benchEdits applies mixed random edits to b, inserting ins (two runes) or
+// benchEdits applies mixed random edits to buf, inserting ins (two runes) or
 // deleting two runes at a time. The document size is held in
 // a steady-state band so per-op cost does not depend on b.N (a growing
 // working set would make the benchmark framework's adaptive iteration count
 // meaningless).
-func benchEdits(bench *testing.B, buf Buffer, clustered bool, ins string) {
+func benchEdits(bench *testing.B, buf *Rope, ins string) {
 	r := rand.New(rand.NewSource(7))
 	base := buf.Len()
 	lo, hi := base-base/10, base+base/10
-	cursor := base / 2
 	bench.ResetTimer()
 	for i := 0; i < bench.N; i++ {
 		n := buf.Len()
 		pos := 0
-		if clustered {
-			pos = cursor + r.Intn(5) - 2
-			if pos < 0 {
-				pos = 0
-			}
-			if pos > n {
-				pos = n
-			}
-		} else if n > 0 {
+		if n > 0 {
 			pos = r.Intn(n + 1)
 		}
 		insert := n == 0 || r.Intn(2) == 0
@@ -41,7 +32,6 @@ func benchEdits(bench *testing.B, buf Buffer, clustered bool, ins string) {
 			if err := buf.Insert(pos, ins); err != nil {
 				bench.Fatal(err)
 			}
-			cursor = pos + 2
 		} else {
 			if pos >= n-1 {
 				pos = n - 2
@@ -49,7 +39,6 @@ func benchEdits(bench *testing.B, buf Buffer, clustered bool, ins string) {
 			if err := buf.Delete(pos, 2); err != nil {
 				bench.Fatal(err)
 			}
-			cursor = pos
 		}
 	}
 }
@@ -59,13 +48,10 @@ func seedText() string { return strings.Repeat("the quick brown fox ", 5000) } /
 // seedTextMultibyte mixes 1-, 2-, 3- and 4-byte runes: 100k runes, 130k bytes.
 func seedTextMultibyte() string { return strings.Repeat("the quick 狐 jumps ü🦊", 5000) }
 
-func BenchmarkRopeRandomEdits(b *testing.B) { benchEdits(b, NewRope(seedText()), false, "ab") }
+func BenchmarkRopeRandomEdits(b *testing.B) { benchEdits(b, NewRope(seedText()), "ab") }
 func BenchmarkRopeRandomEditsMultibyte(b *testing.B) {
-	benchEdits(b, NewRope(seedTextMultibyte()), false, "é狐")
+	benchEdits(b, NewRope(seedTextMultibyte()), "é狐")
 }
-func BenchmarkSimpleRandomEdits(b *testing.B)    { benchEdits(b, NewSimple(seedText()), false, "ab") }
-func BenchmarkRopeClusteredEdits(b *testing.B)   { benchEdits(b, NewRope(seedText()), true, "ab") }
-func BenchmarkSimpleClusteredEdits(b *testing.B) { benchEdits(b, NewSimple(seedText()), true, "ab") }
 
 func BenchmarkRopeSlice(b *testing.B) {
 	rope := NewRope(seedText())

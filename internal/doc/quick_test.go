@@ -44,7 +44,7 @@ func randomTextQ(r *rand.Rand, n int) []rune {
 }
 
 // applyScript normalizes and applies the edit script to a buffer.
-func applyScript(b Buffer, s editScript) error {
+func applyScript(b buffer, s editScript) error {
 	for _, e := range s.Edits {
 		n := b.Len()
 		if e.insert {

@@ -364,10 +364,10 @@ func (n *ropeNode) appendBytes(sb *strings.Builder, i, j int) {
 	}
 }
 
-// Rope is a Buffer backed by a balanced rope of UTF-8 leaves: O(log n)
-// insert/delete and O(j-i + log n) slicing, one byte per ASCII character.
-// Suitable for the large shared documents a long-running collaborative
-// session accumulates.
+// Rope is an editable text document addressed by rune offsets, backed by a
+// balanced rope of UTF-8 leaves: O(log n) insert/delete and O(j-i + log n)
+// slicing, one byte per ASCII character. Suitable for the large shared
+// documents a long-running collaborative session accumulates.
 type Rope struct {
 	root *ropeNode
 }
@@ -378,7 +378,7 @@ func NewRope(s string) *Rope {
 	return &Rope{root: build(op.ValidText(s))}
 }
 
-// Len implements Buffer.
+// Len returns the document length in runes.
 func (r *Rope) Len() int {
 	if r.root == nil {
 		return 0
@@ -386,7 +386,7 @@ func (r *Rope) Len() int {
 	return r.root.length
 }
 
-// Insert implements Buffer, inserting op.ValidText(s).
+// Insert places op.ValidText(s) so its first rune lands at rune index pos.
 func (r *Rope) Insert(pos int, s string) error {
 	if pos < 0 || pos > r.Len() {
 		return fmt.Errorf("rope insert at %d of %d: %w", pos, r.Len(), ErrRange)
@@ -403,7 +403,7 @@ func (r *Rope) Insert(pos int, s string) error {
 	return nil
 }
 
-// Delete implements Buffer.
+// Delete removes n runes starting at rune index pos.
 func (r *Rope) Delete(pos, n int) error {
 	if pos < 0 || n < 0 || pos+n > r.Len() {
 		return fmt.Errorf("rope delete [%d,%d) of %d: %w", pos, pos+n, r.Len(), ErrRange)
@@ -423,7 +423,7 @@ func (r *Rope) Delete(pos, n int) error {
 	return nil
 }
 
-// Slice implements Buffer.
+// Slice returns the text in [i, j) as a string.
 func (r *Rope) Slice(i, j int) (string, error) {
 	if i < 0 || j < i || j > r.Len() {
 		return "", fmt.Errorf("rope slice [%d,%d) of %d: %w", i, j, r.Len(), ErrRange)
@@ -438,7 +438,7 @@ func (r *Rope) Slice(i, j int) (string, error) {
 	return sb.String(), nil
 }
 
-// String implements Buffer.
+// String returns the whole document.
 func (r *Rope) String() string {
 	if r.Len() == 0 {
 		return ""

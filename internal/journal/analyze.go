@@ -121,7 +121,6 @@ func Analyze(path, initial string) (*Analysis, error) {
 			c := getCursor(site)
 			// Deliver the broadcasts the op's T1 says its site had
 			// executed at generation time.
-			//lint:allow tscompare: delivery replay — T1 is consumed as a broadcast count here, not as an ordering decision
 			for c.delivered < rec.Op.TS.T1 {
 				if c.idx >= len(serverOrder) {
 					return nil, fmt.Errorf("journal: analyze: site %d claims %d broadcasts, history has %d",

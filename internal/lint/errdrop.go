@@ -23,7 +23,6 @@ import (
 // visible at the call site and conventionally marks a considered decision.
 var ErrDrop = &Analyzer{
 	Name: "errdrop",
-	Doc:  "discarded error from internal/wire, internal/transport, or internal/journal calls",
 	Run:  runErrDrop,
 }
 

@@ -1,9 +1,6 @@
-// Package lint is a small, stdlib-only static-analysis framework enforcing
-// the causality invariants the Go type system cannot express (paper §3–§6):
-// timestamps must be ordered only through the formula-(5)/(7) helpers,
-// relayed operations must be new transformed ops rather than aliased
-// originals, engine mutexes must not be held across blocking sends, and wire
-// and journal errors must not be silently dropped.
+// Package lint is a small, stdlib-only static-analysis framework for the
+// two defects this codebase has actually shipped: wire and journal errors
+// silently dropped (errdrop) and library code that panics (nopanic).
 //
 // The framework deliberately avoids golang.org/x/tools: packages are loaded
 // with go/parser and type-checked with go/types (see load.go), and each
@@ -14,13 +11,12 @@
 // Findings can be suppressed with an inline comment on the offending line or
 // the line directly above it:
 //
-//	//lint:allow tscompare: assertion against expected constants, not ordering
+//	//lint:allow nopanic: constructor precondition, a violation is a caller bug
 //
 // The comment names one or more analyzers (comma-separated), then a colon,
-// then a mandatory free-form justification. Suppressions are honored by the
-// driver and surfaced with -show-suppressed; the allowreason analyzer
-// rejects suppressions that name unknown analyzers or omit the reason, so
-// every silenced finding in the tree documents why it is safe.
+// then a mandatory free-form justification. A suppression that names an
+// unknown analyzer or gives no reason is a load error, so every silenced
+// finding in the tree documents why it is safe.
 package lint
 
 import (
@@ -39,38 +35,13 @@ type Analyzer struct {
 	// Name is the short identifier used in diagnostics and in
 	// //lint:allow comments.
 	Name string
-	// Doc is a one-line description shown by cvclint -list.
-	Doc string
 	// Run analyzes one package.
 	Run func(*Pass)
 }
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{OpAlias, TSCompare, LockSend, ErrDrop, NoPanic, CacheMut, BufRef, AtomicMix, AllowReason}
-}
-
-// ByName resolves a comma-separated analyzer list against the suite.
-func ByName(names string) ([]*Analyzer, error) {
-	var out []*Analyzer
-	for _, name := range strings.Split(names, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		found := false
-		for _, a := range All() {
-			if a.Name == name {
-				out = append(out, a)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("lint: unknown analyzer %q", name)
-		}
-	}
-	return out, nil
+	return []*Analyzer{ErrDrop, NoPanic}
 }
 
 // Pass carries one type-checked package into an analyzer.
@@ -125,12 +96,11 @@ func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 		}
 		a.Run(pass)
 	}
-	allows := collectAllows(pkg.Fset, pkg.Files)
 	for i := range diags {
 		d := &diags[i]
 		key := fileLine{d.Pos.Filename, d.Pos.Line}
 		prev := fileLine{d.Pos.Filename, d.Pos.Line - 1}
-		if allows[key][d.Analyzer] || allows[prev][d.Analyzer] {
+		if pkg.allows[key][d.Analyzer] || pkg.allows[prev][d.Analyzer] {
 			d.Suppressed = true
 		}
 	}
@@ -157,115 +127,48 @@ type fileLine struct {
 
 // collectAllows gathers //lint:allow comments: map (file,line) → analyzer
 // set. A suppression applies to findings on its own line (trailing comment)
-// or on the line immediately below (preceding comment).
-func collectAllows(fset *token.FileSet, files []*ast.File) map[fileLine]map[string]bool {
+// or on the line immediately below (preceding comment). Each suppression
+// must read "//lint:allow name[,name]: reason" with every name in All() and
+// a non-empty reason; any other form is returned as an error — a typoed name
+// silently suppresses nothing, and a claim without a reason is unreviewable.
+func collectAllows(fset *token.FileSet, files []*ast.File) (map[fileLine]map[string]bool, []error) {
+	known := make(map[string]bool)
+	for _, a := range All() {
+		known[a.Name] = true
+	}
 	out := make(map[fileLine]map[string]bool)
+	var errs []error
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				rest, ok := allowBody(c.Text)
+				// Doc-comment examples keep their own leading "//" after
+				// the comment marker and therefore do not match.
+				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+				body, ok := strings.CutPrefix(text, "lint:allow")
 				if !ok {
 					continue
 				}
-				names, _, _ := splitAllow(rest)
-				if len(names) == 0 {
+				pos := fset.Position(c.Pos())
+				namePart, reason, _ := strings.Cut(body, ":")
+				names := strings.FieldsFunc(namePart, func(r rune) bool { return r == ',' || r == ' ' || r == '\t' })
+				if len(names) == 0 || strings.TrimSpace(reason) == "" {
+					errs = append(errs, fmt.Errorf("%s: suppression must read //lint:allow <analyzer>: <reason>", pos))
 					continue
 				}
-				pos := fset.Position(c.Pos())
 				key := fileLine{pos.Filename, pos.Line}
 				if out[key] == nil {
 					out[key] = make(map[string]bool)
 				}
 				for _, name := range names {
+					if !known[name] {
+						errs = append(errs, fmt.Errorf("%s: suppression names unknown analyzer %q", pos, name))
+					}
 					out[key][name] = true
 				}
 			}
 		}
 	}
-	return out
-}
-
-// allowBody extracts the text after "lint:allow" when the comment is a
-// suppression, distinguishing real suppressions from doc-comment examples
-// (which keep their own leading "//" and therefore do not match).
-func allowBody(comment string) (string, bool) {
-	text := strings.TrimSpace(strings.TrimPrefix(comment, "//"))
-	if !strings.HasPrefix(text, "lint:allow") {
-		return "", false
-	}
-	return strings.TrimSpace(strings.TrimPrefix(text, "lint:allow")), true
-}
-
-// splitAllow parses the body of a suppression into its analyzer names and
-// reason. The canonical form is "name[,name]: reason"; hasColon reports
-// whether the body used it. Legacy bodies without a colon parse their first
-// field as the name list and everything after it as the reason, keeping old
-// comments suppressing (so a migration cannot silently unleash findings)
-// while allowreason flags them for rewriting.
-func splitAllow(body string) (names []string, reason string, hasColon bool) {
-	var namePart string
-	if idx := strings.Index(body, ":"); idx >= 0 {
-		namePart, reason, hasColon = body[:idx], strings.TrimSpace(body[idx+1:]), true
-	} else {
-		fields := strings.Fields(body)
-		if len(fields) == 0 {
-			return nil, "", false
-		}
-		namePart = fields[0]
-		reason = strings.TrimSpace(strings.TrimPrefix(body, fields[0]))
-	}
-	for _, name := range strings.Split(namePart, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			names = append(names, name)
-		}
-	}
-	return names, reason, hasColon
-}
-
-// AllowReason is the lint-on-lint pass: every //lint:allow suppression must
-// name known analyzers and carry a reason in the canonical
-// "//lint:allow name[,name]: reason" form. A suppression is a claim that a
-// finding is intentional; without the reason the claim is unreviewable, and
-// with a typoed analyzer name it silently suppresses nothing.
-var AllowReason = &Analyzer{
-	Name: "allowreason",
-	Doc:  "suppression comment missing its ': <reason>' suffix or naming an unknown analyzer",
-	// Run is bound in init: runAllowReason consults All(), which includes
-	// AllowReason itself — binding it here would be an initialization cycle.
-}
-
-func init() { AllowReason.Run = runAllowReason }
-
-func runAllowReason(pass *Pass) {
-	known := make(map[string]bool)
-	for _, a := range All() {
-		known[a.Name] = true
-	}
-	for _, f := range pass.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				body, ok := allowBody(c.Text)
-				if !ok {
-					continue
-				}
-				names, reason, hasColon := splitAllow(body)
-				switch {
-				case len(names) == 0:
-					pass.Reportf(c.Pos(), "suppression names no analyzer; write //lint:allow <name>: <reason>")
-					continue
-				case !hasColon:
-					pass.Reportf(c.Pos(), "suppression must separate analyzers from the reason with a colon: //lint:allow %s: <reason>", strings.Join(names, ","))
-				case reason == "":
-					pass.Reportf(c.Pos(), "suppression for %s has no reason; a suppression is a claim, justify it after the colon", strings.Join(names, ","))
-				}
-				for _, name := range names {
-					if !known[name] {
-						pass.Reportf(c.Pos(), "suppression names unknown analyzer %q (known: see cvclint -list); it suppresses nothing", name)
-					}
-				}
-			}
-		}
-	}
+	return out, errs
 }
 
 // --- shared type helpers used by the analyzers ---------------------------
@@ -281,16 +184,6 @@ func namedType(t types.Type) *types.Named {
 	}
 	n, _ := t.(*types.Named)
 	return n
-}
-
-// isNamed reports whether t (possibly behind a pointer) is the named type
-// pkgPath.name.
-func isNamed(t types.Type, pkgPath, name string) bool {
-	n := namedType(t)
-	if n == nil || n.Obj() == nil || n.Obj().Pkg() == nil {
-		return false
-	}
-	return n.Obj().Pkg().Path() == pkgPath && n.Obj().Name() == name
 }
 
 // calleeFunc resolves the static callee of a call, or nil (builtin calls,
@@ -315,17 +208,4 @@ func funcPkgPath(f *types.Func) string {
 		return ""
 	}
 	return f.Pkg().Path()
-}
-
-// identObj resolves an expression to the object of its root identifier when
-// the expression is a plain (possibly parenthesized) identifier.
-func identObj(info *types.Info, e ast.Expr) types.Object {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	if o := info.Uses[id]; o != nil {
-		return o
-	}
-	return info.Defs[id]
 }

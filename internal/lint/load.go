@@ -25,11 +25,13 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-	// Errors holds parse and type errors. Analyzers still run on packages
-	// with errors, but the driver reports them and fails the run: a
-	// finding missed because typing was incomplete is worse than a loud
-	// exit.
+	// Errors holds parse, type and malformed-suppression errors. Analyzers
+	// still run on packages with errors, but cvclint reports them and fails
+	// the run: a finding missed because typing was incomplete is worse than
+	// a loud exit.
 	Errors []error
+
+	allows map[fileLine]map[string]bool // //lint:allow comments (collectAllows)
 }
 
 // Loader loads and type-checks packages of one module using only the
@@ -146,6 +148,9 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 		}
 		pkg.Files = append(pkg.Files, f)
 	}
+	var allowErrs []error
+	pkg.allows, allowErrs = collectAllows(l.Fset, pkg.Files)
+	pkg.Errors = append(pkg.Errors, allowErrs...)
 	pkg.Info = &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),

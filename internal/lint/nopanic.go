@@ -14,7 +14,6 @@ import (
 // `//lint:allow nopanic` with justification.
 var NoPanic = &Analyzer{
 	Name: "nopanic",
-	Doc:  "panic in non-test library code (allowlist unreachable guards with //lint:allow nopanic)",
 	Run:  runNoPanic,
 }
 

@@ -5,8 +5,8 @@ package obs
 // wired notifier exposes exactly these names, so renames must touch both.
 //
 // Naming scheme: lowercase dotted paths, "component.metric[.detail]".
-// Engine counters recorded through trace.Metrics keep their historical names
-// (ops.generated, checks.total, ...) declared in internal/trace.
+// Engine counters keep their historical names (ops.generated, checks.total,
+// ...) declared in internal/core, the engine that bumps them.
 const (
 	// HReceiveNs is the per-session histogram of notifier engine latency in
 	// nanoseconds: one Receive from arrival through formula-(7) checks,

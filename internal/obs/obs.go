@@ -8,9 +8,8 @@
 // concurrency checks regardless of N), so the runtime must be able to show
 // those quantities live without perturbing them: every recording primitive
 // here is allocation-free and at most a few atomic operations on its fast
-// path, benchmark-gated by obs_test.go. Lock-taking operations (registration,
-// snapshots, trace dumps) are cold-path only, and cvclint's locksend analyzer
-// forbids calling them while an engine mutex is held.
+// path (TestFastPathAllocFree). Lock-taking operations (registration,
+// snapshots, trace dumps) are cold-path only.
 package obs
 
 import (
@@ -76,18 +75,6 @@ func (r *Registry) Counter(name string) *Counter {
 	next[name] = c
 	r.counters.Store(next)
 	return c
-}
-
-// LoadCounter returns the named counter without creating it.
-func (r *Registry) LoadCounter(name string) (*Counter, bool) {
-	c, ok := r.counters.Load().(map[string]*Counter)[name]
-	return c, ok
-}
-
-// CounterNames returns the names of all materialized counters, sorted
-// (counter funcs are not included — they live with their owners).
-func (r *Registry) CounterNames() []string {
-	return sortedKeys(r.counters.Load().(map[string]*Counter))
 }
 
 // Histogram returns the named histogram, creating it on first use. The hit

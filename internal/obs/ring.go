@@ -11,31 +11,22 @@ import (
 // DecisionKind tags a causality-decision trace record.
 type DecisionKind uint8
 
-// Decision kinds: per-entry concurrency verdicts and per-arrival summaries,
-// for both clock formulas of the paper.
+// Decision kinds: the notifier's per-entry formula-(7) verdicts and
+// per-arrival summaries.
 const (
-	// DClientCheck is one client formula-(5) verdict against one
-	// history-buffer entry.
-	DClientCheck DecisionKind = iota + 1
 	// DServerCheck is one server formula-(7) verdict against one
 	// history-buffer entry.
-	DServerCheck
-	// DClientIntegrate summarizes one client integration: checks run,
+	DServerCheck DecisionKind = iota + 1
+	// DServerIntegrate summarizes one server Receive: checks run,
 	// concurrent entries found, transformations performed.
-	DClientIntegrate
-	// DServerIntegrate summarizes one server Receive the same way.
 	DServerIntegrate
 )
 
 // String names the kind (also its JSON encoding).
 func (k DecisionKind) String() string {
 	switch k {
-	case DClientCheck:
-		return "client.check"
 	case DServerCheck:
 		return "server.check"
-	case DClientIntegrate:
-		return "client.integrate"
 	case DServerIntegrate:
 		return "server.integrate"
 	}
@@ -51,7 +42,7 @@ func (k *DecisionKind) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &s); err != nil {
 		return err
 	}
-	for _, cand := range []DecisionKind{DClientCheck, DServerCheck, DClientIntegrate, DServerIntegrate} {
+	for _, cand := range []DecisionKind{DServerCheck, DServerIntegrate} {
 		if cand.String() == s {
 			*k = cand
 			return nil
@@ -73,11 +64,11 @@ type Decision struct {
 	T1      uint64       `json:"t1"`                // arriving compressed timestamp
 	T2      uint64       `json:"t2"`
 
-	// Per-check fields (DClientCheck/DServerCheck).
+	// Per-check fields (DServerCheck).
 	Index      int  `json:"hb"` // history-buffer index checked; -1 in summaries
 	Concurrent bool `json:"concurrent"`
 
-	// Summary fields (DClientIntegrate/DServerIntegrate).
+	// Summary fields (DServerIntegrate).
 	Checks     int `json:"checks,omitempty"`      // entries checked
 	NConc      int `json:"nconcurrent,omitempty"` // entries found concurrent
 	Transforms int `json:"transforms,omitempty"`  // inclusion transformations performed

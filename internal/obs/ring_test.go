@@ -54,8 +54,8 @@ func TestRingRecordAndWrap(t *testing.T) {
 func TestRingJSONL(t *testing.T) {
 	r := NewDecisionRing(8)
 	r.SetEnabled(true)
-	r.Record(Decision{Kind: DClientCheck, Session: "docs/a", Site: 2, T1: 9, T2: 3, Index: 1, Concurrent: true})
-	r.Record(Decision{Kind: DClientIntegrate, Site: 2, T1: 9, T2: 3, Index: -1, Checks: 2, NConc: 1, Transforms: 1})
+	r.Record(Decision{Kind: DServerCheck, Session: "docs/a", Site: 2, T1: 9, T2: 3, Index: 1, Concurrent: true})
+	r.Record(Decision{Kind: DServerIntegrate, Site: 2, T1: 9, T2: 3, Index: -1, Checks: 2, NConc: 1, Transforms: 1})
 
 	var buf bytes.Buffer
 	if err := r.WriteJSONL(&buf, 0); err != nil {
@@ -73,10 +73,10 @@ func TestRingJSONL(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("got %d lines, want 2", len(lines))
 	}
-	if lines[0]["kind"] != "client.check" || lines[0]["session"] != "docs/a" || lines[0]["concurrent"] != true {
+	if lines[0]["kind"] != "server.check" || lines[0]["session"] != "docs/a" || lines[0]["concurrent"] != true {
 		t.Fatalf("line 0 = %v", lines[0])
 	}
-	if lines[1]["kind"] != "client.integrate" || lines[1]["transforms"] != float64(1) || lines[1]["hb"] != float64(-1) {
+	if lines[1]["kind"] != "server.integrate" || lines[1]["transforms"] != float64(1) || lines[1]["hb"] != float64(-1) {
 		t.Fatalf("line 1 = %v", lines[1])
 	}
 	if _, ok := lines[1]["session"]; ok {
@@ -171,9 +171,7 @@ func TestRingToggleUnderConcurrentWriters(t *testing.T) {
 
 func TestDecisionKindString(t *testing.T) {
 	for k, want := range map[DecisionKind]string{
-		DClientCheck:     "client.check",
 		DServerCheck:     "server.check",
-		DClientIntegrate: "client.integrate",
 		DServerIntegrate: "server.integrate",
 		DecisionKind(99): "kind(99)",
 	} {

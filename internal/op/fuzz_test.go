@@ -107,7 +107,8 @@ func FuzzTransform(f *testing.F) {
 
 // FuzzCompose checks that composing two sequential operations is equivalent
 // to applying them one after the other, and that the composition's lengths
-// chain correctly.
+// chain correctly. It then inverts the composition: the inverse validates,
+// and the composition composed with its inverse gives back the base text.
 func FuzzCompose(f *testing.F) {
 	f.Add("hello world", []byte{0, 4, 2, 7, 1, 2}, []byte{1, 3, 2, 1})
 	f.Add("", []byte{2, 5, 2, 8}, []byte{2, 2})
@@ -154,6 +155,29 @@ func FuzzCompose(f *testing.F) {
 		}
 		if composed != stepwise {
 			t.Fatalf("Compose diverges:\n  doc=%q a=%v b=%v\n  a·b=%q\n  a;b=%q", doc, a, b, composed, stepwise)
+		}
+
+		runes := []rune(doc)
+		inv, err := Invert(ab, len(runes), func(i, j int) (string, error) { return string(runes[i:j]), nil })
+		if err != nil {
+			t.Fatalf("Invert(%v): %v", ab, err)
+		}
+		if err := inv.Validate(); err != nil {
+			t.Fatalf("inverse invalid: %v (a·b=%v inverse=%v)", err, ab, inv)
+		}
+		roundTrip, err := Compose(ab, inv)
+		if err != nil {
+			t.Fatalf("Compose(a·b, inverse): %v", err)
+		}
+		if err := roundTrip.Validate(); err != nil {
+			t.Fatalf("a·b·inverse invalid: %v", err)
+		}
+		back, err := roundTrip.ApplyString(doc)
+		if err != nil {
+			t.Fatalf("apply a·b·inverse: %v", err)
+		}
+		if back != string(runes) {
+			t.Fatalf("a·b·inverse is not the identity:\n  doc=%q a·b=%v inverse=%v\n  got %q", doc, ab, inv, back)
 		}
 	})
 }

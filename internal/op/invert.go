@@ -8,7 +8,7 @@ import "fmt"
 //	apply(apply(doc, o), Invert(o, len(doc), doc.Slice)) == doc
 //
 // Inversion needs the base document because a delete does not record the
-// text it removed; slice (doc.Buffer.Slice fits) is asked for exactly those
+// text it removed; slice (doc.Rope.Slice fits) is asked for exactly those
 // runs, one call per delete component, so the cost is the deleted text plus
 // one lookup per run rather than a copy of the document.
 func Invert(o *Op, docLen int, slice func(i, j int) (string, error)) (*Op, error) {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/server"
-	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/transport/netpoll"
 	"repro/internal/wire"
@@ -233,7 +232,7 @@ func TestProtocolConformance(t *testing.T) {
 			t.Run("acks from a viewer", func(t *testing.T) {
 				acks := func() (received, stale int64) {
 					child, _ := reg.Snapshot().Child(doc)
-					return child.Counters[trace.CAcksReceived], child.Counters[trace.CAcksStale]
+					return child.Counters[core.CAcksReceived], child.Counters[core.CAcksStale]
 				}
 				wasReceived, wasStale := acks()
 				conn, snap := rawJoin(t, dial, wire.SessionJoinReq{Session: doc, ReadOnly: true})

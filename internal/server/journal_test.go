@@ -14,7 +14,6 @@ import (
 	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/server"
-	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -138,7 +137,7 @@ func TestCrashRestartFromJournals(t *testing.T) {
 	// own link, so the last may still be in flight; the crash waits for all six.
 	acks := func() (n int64) {
 		for _, child := range l1.reg.Snapshot().Children {
-			n += child.Counters[trace.CAcksReceived]
+			n += child.Counters[core.CAcksReceived]
 		}
 		return n
 	}
@@ -248,7 +247,7 @@ func TestJournalBlindToAcks(t *testing.T) {
 		}
 		child, _ := reg.Snapshot().Child("(default)")
 		hbLen = child.Gauges[obs.GHBLen]
-		if acking && (child.Counters[trace.CAcksReceived] == 0 || child.Counters[trace.CAcksStale] == 0) {
+		if acking && (child.Counters[core.CAcksReceived] == 0 || child.Counters[core.CAcksStale] == 0) {
 			t.Fatalf("counters %v: want acknowledgements received and stale", child.Counters)
 		}
 		if err := mgr.Close(); err != nil {

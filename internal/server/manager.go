@@ -21,9 +21,8 @@ type registry map[string]*Session
 
 // Manager routes document names to running Sessions.
 type Manager struct {
-	initial func(name string) string
+	initial string
 	engine  []core.ServerOption
-	queue   int
 	idleD   time.Duration
 
 	// rehydrations counts engine restores across all sessions (nil without
@@ -57,13 +56,7 @@ type ManagerOption func(*Manager)
 
 // WithInitialText sets the initial document for every new session.
 func WithInitialText(text string) ManagerOption {
-	return func(m *Manager) { m.initial = func(string) string { return text } }
-}
-
-// WithInitialTextFunc derives each new session's initial document from its
-// name (e.g. loading per-document files).
-func WithInitialTextFunc(fn func(name string) string) ManagerOption {
-	return func(m *Manager) { m.initial = fn }
+	return func(m *Manager) { m.initial = text }
 }
 
 // WithEngineOptions passes options to every session's core.Server.
@@ -93,15 +86,6 @@ func WithDecisionRing(ring *obs.DecisionRing) ManagerOption {
 // arrival.
 func WithSpanTracer(tr *span.Tracer) ManagerOption {
 	return func(m *Manager) { m.spans = tr }
-}
-
-// WithQueueDepth sets each session's command-queue buffer (default 64).
-func WithQueueDepth(n int) ManagerOption {
-	return func(m *Manager) {
-		if n > 0 {
-			m.queue = n
-		}
-	}
 }
 
 // WithIdleDehydrate enables cold-session dehydration: a session that
@@ -138,8 +122,6 @@ func JournalFiles(base string) func(session string) string {
 // NewManager returns an empty manager; sessions are created on first use.
 func NewManager(opts ...ManagerOption) *Manager {
 	m := &Manager{
-		initial:     func(string) string { return "" },
-		queue:       64,
 		journalPath: func(string) string { return "" },
 	}
 	for _, o := range opts {

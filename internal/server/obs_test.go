@@ -7,9 +7,9 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/server"
-	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -58,7 +58,7 @@ func TestMetricsCatalog(t *testing.T) {
 	// converged.
 	acks := func() int64 {
 		child, _ := reg.Snapshot().Child("doc")
-		return child.Counters[trace.CAcksReceived]
+		return child.Counters[core.CAcksReceived]
 	}
 	eventually(t, func() bool { return acks() == 1 }, func() string {
 		return fmt.Sprintf("acks.received = %d after a silent site integrated 65 operations, want 1", acks())
@@ -107,10 +107,10 @@ func TestMetricsCatalog(t *testing.T) {
 		t.Fatalf("no doc child in %+v", snap)
 	}
 	assertNames(t, "session counters", sess.Counters, []string{
-		trace.COpsIntegrated, trace.CConcurrencyChecks, trace.CConcurrentPairs,
-		trace.CTransforms, trace.CCompactions, trace.CCompacted,
-		trace.CCacheHits, trace.CCacheMisses, trace.CComposes,
-		trace.CAcksReceived, trace.CAcksStale,
+		core.COpsIntegrated, core.CConcurrencyChecks, core.CConcurrentPairs,
+		core.CTransforms, core.CCompactions, core.CCompacted,
+		core.CCacheHits, core.CCacheMisses, core.CComposes,
+		core.CAcksReceived, core.CAcksStale,
 	})
 	assertNames(t, "session gauges", sess.Gauges, []string{
 		obs.GSites, obs.GOpsRecv, obs.GDocRunes, obs.GHBLen, obs.GClockWords,
@@ -121,15 +121,15 @@ func TestMetricsCatalog(t *testing.T) {
 	}
 	assertNames(t, "session histograms", sess.Hists, []string{obs.HReceiveNs})
 
-	if sess.Counters[trace.CCompactions] < 1 {
-		t.Errorf("hb.compactions = %d, want >= 1 after 65 ops", sess.Counters[trace.CCompactions])
+	if sess.Counters[core.CCompactions] < 1 {
+		t.Errorf("hb.compactions = %d, want >= 1 after 65 ops", sess.Counters[core.CCompactions])
 	}
-	if sess.Counters[trace.COpsIntegrated] != 65 {
-		t.Errorf("ops.integrated = %d, want 65", sess.Counters[trace.COpsIntegrated])
+	if sess.Counters[core.COpsIntegrated] != 65 {
+		t.Errorf("ops.integrated = %d, want 65", sess.Counters[core.COpsIntegrated])
 	}
-	if snap.Counters["wire.frames.ack"] == 0 || sess.Counters[trace.CAcksStale] != 0 {
+	if snap.Counters["wire.frames.ack"] == 0 || sess.Counters[core.CAcksStale] != 0 {
 		t.Errorf("wire.frames.ack = %d, acks.stale = %d; want the one ack framed and none stale",
-			snap.Counters["wire.frames.ack"], sess.Counters[trace.CAcksStale])
+			snap.Counters["wire.frames.ack"], sess.Counters[core.CAcksStale])
 	}
 	// The mem transport still counts sender drains, but no TCP bytes flow.
 	if snap.Counters[obs.CSenderMsgs] == 0 {

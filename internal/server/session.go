@@ -21,7 +21,6 @@ import (
 	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
-	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -77,6 +76,11 @@ type cmd struct {
 	// otherwise-idle session resident forever.
 	touch bool
 }
+
+// queueDepth is each session's command-queue buffer: room for a burst from
+// every connection of a typical session, so a caller parks on the actor only
+// when the actor has fallen a whole burst behind.
+const queueDepth = 64
 
 // donePool recycles completion channels so a Receive round-trip does not
 // allocate one per operation.
@@ -182,7 +186,7 @@ type Session struct {
 
 // newSession starts one document's notifier goroutine with m's settings.
 // With observability the session's child registry receives the engine
-// counters (trace.MetricsOn), the receive.ns latency histogram and live size
+// counters (WithServerMetrics), the receive.ns latency histogram and live size
 // gauges; with a decision ring the engine's causality decisions stream under
 // the session's name. A journaled session (WithJournal) is rebuilt from its
 // journal, or starts one if the file does not exist yet.
@@ -190,7 +194,7 @@ func newSession(m *Manager, name string) (*Session, error) {
 	child := m.sessionChild(name)
 	opts := m.engine[:len(m.engine):len(m.engine)]
 	if child != nil {
-		opts = append(opts, core.WithServerMetrics(trace.MetricsOn(child)))
+		opts = append(opts, core.WithServerMetrics(child))
 	}
 	if m.ring != nil {
 		opts = append(opts, core.WithServerDecisionRing(m.ring, name))
@@ -200,7 +204,7 @@ func newSession(m *Manager, name string) (*Session, error) {
 	}
 	s := &Session{
 		name:         name,
-		cmds:         make(chan cmd, m.queue),
+		cmds:         make(chan cmd, queueDepth),
 		quit:         make(chan struct{}),
 		done:         make(chan struct{}),
 		idleD:        m.idleD,
@@ -212,7 +216,7 @@ func newSession(m *Manager, name string) (*Session, error) {
 		nextSite:     1,
 	}
 	if path := m.journalPath(name); path != "" {
-		srv, jw, _, err := journal.Recover(path, m.initial(name), opts...)
+		srv, jw, _, err := journal.Recover(path, m.initial, opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -225,7 +229,7 @@ func newSession(m *Manager, name string) (*Session, error) {
 			s.nextSite = n
 		}
 	} else {
-		s.srv = core.NewServer(m.initial(name), opts...)
+		s.srv = core.NewServer(m.initial, opts...)
 	}
 	s.cond = sync.NewCond(&s.mu)
 	if child != nil {

@@ -32,7 +32,7 @@ func TestChurnJoinersConvergeAndStaySound(t *testing.T) {
 			t.Fatalf("seed %d: %d verdict mismatches with joiners", seed, res.VerdictMismatches)
 		}
 		// All six sites generated.
-		if got := res.Metrics.Get("ops.generated"); got != 6*30 {
+		if got := res.Metrics.Counter("ops.generated").Load(); got != 6*30 {
 			t.Fatalf("seed %d: ops generated %d", seed, got)
 		}
 	}

@@ -38,30 +38,6 @@ func opsFig2() map[string][]op.Positional {
 	}
 }
 
-// applyPositional executes a positional edit clamped to the document — what
-// a consistency-unaware site does with a remote operation in original form.
-func applyPositional(b doc.Buffer, p op.Positional) {
-	n := b.Len()
-	pos := p.Pos
-	if pos < 0 {
-		pos = 0
-	}
-	if pos > n {
-		pos = n
-	}
-	if p.Insert {
-		_ = b.Insert(pos, p.Text)
-		return
-	}
-	count := p.Count
-	if pos+count > n {
-		count = n - pos
-	}
-	if count > 0 {
-		_ = b.Delete(pos, count)
-	}
-}
-
 // Figure2 runs the scenario and returns the reproduced inconsistencies.
 func Figure2() *Figure2Result {
 	// Execution orders straight from the figure (§2.2): site 0: O2 O1 O4
@@ -78,11 +54,9 @@ func Figure2() *Figure2Result {
 		Finals: make(map[int]string),
 	}
 	for site, order := range orders {
-		b := doc.NewSimple("ABCDE")
+		b := doc.NewRope("ABCDE")
 		for _, name := range order {
-			for _, p := range ops[name] {
-				applyPositional(b, p)
-			}
+			doc.ApplyPositional(b, ops[name]...)
 		}
 		res.Finals[site] = b.String()
 	}
@@ -93,9 +67,9 @@ func Figure2() *Figure2Result {
 	}
 
 	// §2.2's intention-violation pair in isolation.
-	b := doc.NewSimple("ABCDE")
-	applyPositional(b, op.Positional{Insert: true, Pos: 1, Text: "12"}) // O1
-	applyPositional(b, op.Positional{Pos: 2, Count: 3})                 // O2 original form
+	b := doc.NewRope("ABCDE")
+	doc.ApplyPositional(b, op.Positional{Insert: true, Pos: 1, Text: "12"}) // O1
+	doc.ApplyPositional(b, op.Positional{Pos: 2, Count: 3})                 // O2 original form
 	res.Site1AfterO1O2 = b.String()
 
 	// And the OT-correct result.

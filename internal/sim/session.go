@@ -8,8 +8,8 @@ import (
 	"repro/internal/causal"
 	"repro/internal/core"
 	"repro/internal/journal"
+	"repro/internal/obs"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -102,8 +102,8 @@ type Result struct {
 	MaxPending   int
 	MaxBridgeLen int
 
-	// Metrics carries the raw counters.
-	Metrics *trace.Metrics
+	// Metrics carries the raw counters (core.COpsGenerated, ...).
+	Metrics *obs.Registry
 }
 
 // Run simulates one session to quiescence.
@@ -113,7 +113,7 @@ func Run(cfg Config) (res *Result, err error) {
 		return nil, fmt.Errorf("sim: need at least one client, got %d", cfg.Clients)
 	}
 	s := New()
-	res = &Result{Metrics: trace.NewMetrics()}
+	res = &Result{Metrics: obs.NewRegistry("")}
 
 	srvOpts := []core.ServerOption{
 		core.WithServerMode(cfg.Mode), core.WithServerCompaction(cfg.Compaction)}
@@ -238,8 +238,8 @@ func Run(cfg Config) (res *Result, err error) {
 		}
 		res.TotalChecks += ir.CheckCount
 		res.ConcurrentPairs += ir.ConcurrentCount
-		res.Metrics.Inc(trace.CConcurrencyChecks, int64(ir.CheckCount))
-		res.Metrics.Inc(trace.CConcurrentPairs, int64(ir.ConcurrentCount))
+		res.Metrics.Counter(core.CConcurrencyChecks).Add(int64(ir.CheckCount))
+		res.Metrics.Counter(core.CConcurrentPairs).Add(int64(ir.ConcurrentCount))
 		// Modeled baseline cost: one full SV_0-sized vector per message
 		// (computed once per op; the vector is identical for the up-leg
 		// and all broadcasts of this op).
@@ -296,9 +296,9 @@ func Run(cfg Config) (res *Result, err error) {
 		}
 		res.TotalChecks += ir.CheckCount
 		res.ConcurrentPairs += ir.ConcurrentCount
-		res.Metrics.Inc(trace.COpsIntegrated, 1)
-		res.Metrics.Inc(trace.CConcurrencyChecks, int64(ir.CheckCount))
-		res.Metrics.Inc(trace.CConcurrentPairs, int64(ir.ConcurrentCount))
+		res.Metrics.Counter(core.COpsIntegrated).Add(1)
+		res.Metrics.Counter(core.CConcurrencyChecks).Add(int64(ir.CheckCount))
+		res.Metrics.Counter(core.CConcurrentPairs).Add(int64(ir.ConcurrentCount))
 		if cfg.Validate {
 			checks = append(checks, ir.Checks...)
 			oracle.Execute(site, bm.Ref)
@@ -351,7 +351,7 @@ func Run(cfg Config) (res *Result, err error) {
 				abort(fmt.Errorf("sim: generate at site %d: %w", site, err))
 				return
 			}
-			res.Metrics.Inc(trace.COpsGenerated, 1)
+			res.Metrics.Counter(core.COpsGenerated).Add(1)
 			genTime[m.Ref] = s.Now()
 			if cfg.Validate {
 				oracle.Generate(site, m.Ref)

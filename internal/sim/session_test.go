@@ -31,8 +31,8 @@ func TestSessionConvergesAcrossConfigs(t *testing.T) {
 				if res.VerdictMismatches != 0 {
 					t.Fatalf("%d verdict mismatches (of %d checks)", res.VerdictMismatches, res.TotalChecks)
 				}
-				if res.Metrics.Get("ops.generated") != int64(n*40) {
-					t.Fatalf("ops generated: %d", res.Metrics.Get("ops.generated"))
+				if res.Metrics.Counter("ops.generated").Load() != int64(n*40) {
+					t.Fatalf("ops generated: %d", res.Metrics.Counter("ops.generated").Load())
 				}
 			})
 		}
@@ -105,7 +105,7 @@ func TestSessionTimestampBytesConstantPerOp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		msgs := int64(res.Metrics.Get("ops.generated") + res.Metrics.Get("ops.integrated"))
+		msgs := int64(res.Metrics.Counter("ops.generated").Load() + res.Metrics.Counter("ops.integrated").Load())
 		avg := float64(res.TimestampBytes) / float64(msgs)
 		if avg > 4 {
 			t.Fatalf("n=%d: %.2f timestamp bytes/message — should be ~2", n, avg)

@@ -1,56 +1,6 @@
 package vclock
 
-import (
-	"fmt"
-	"testing"
-)
-
-func BenchmarkCompare(b *testing.B) {
-	for _, n := range []int{2, 64, 2048} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			x := New(n)
-			y := New(n)
-			for i := 0; i < n; i++ {
-				x[i] = uint64(i)
-				y[i] = uint64(i)
-			}
-			y[n/2]++
-			for i := 0; i < b.N; i++ {
-				if Compare(x, y) == Concurrent {
-					b.Fatal("unexpected")
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkMerge(b *testing.B) {
-	for _, n := range []int{2, 64, 2048} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			x := New(n)
-			y := New(n)
-			for i := 0; i < n; i++ {
-				y[i] = uint64(i)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				x.Merge(y)
-			}
-		})
-	}
-}
-
-func BenchmarkSKSendLocality(b *testing.B) {
-	const n = 64
-	p := NewSKProcess(0, n)
-	for i := 0; i < b.N; i++ {
-		p.LocalEvent()
-		entries := p.Send(1 + i%4) // talks to a few neighbours
-		if len(entries) == 0 {
-			b.Fatal("no entries")
-		}
-	}
-}
+import "testing"
 
 func BenchmarkFZReconstruct(b *testing.B) {
 	const n = 8

@@ -2,7 +2,7 @@
 # race.sh — the race-detector gate. The one list of packages with real
 # concurrency in them; `make race` and scripts/check.sh both run this file,
 # so the two cannot drift apart. -timeout is per package: internal/core, the
-# slowest, takes about two and a half minutes under -race on 2 CPUs.
+# slowest, takes two and a half to four minutes under -race on 2 CPUs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -7,9 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/server"
-	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -179,9 +179,9 @@ func TestSoak(t *testing.T) {
 		}
 	}
 	session, _ := reg.Snapshot().Child("(default)")
-	if hb := session.Gauges[obs.GHBLen]; hb > hbBound(window) || session.Counters[trace.CAcksReceived] == 0 {
+	if hb := session.Gauges[obs.GHBLen]; hb > hbBound(window) || session.Counters[core.CAcksReceived] == 0 {
 		t.Fatalf("hb.len %d after %d operations and %d acknowledgements, want at most %d",
-			hb, session.Gauges[obs.GOpsRecv], session.Counters[trace.CAcksReceived], hbBound(window))
+			hb, session.Gauges[obs.GOpsRecv], session.Counters[core.CAcksReceived], hbBound(window))
 	}
 
 	want := nt.Text()
