@@ -14,7 +14,7 @@ import (
 //
 // Flagged forms:
 //
-//	wire.WriteFrame(w, m)          // bare call statement
+//	conn.Send(m)                   // bare call statement
 //	go conn.Send(m)                // goroutine, error unobservable
 //	defer jw.Close()               // deferred, error unobservable
 //	v, _ := wire.Decode(b)         // error position blanked in a tuple

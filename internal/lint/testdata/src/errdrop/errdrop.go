@@ -33,11 +33,12 @@ func explicitDiscard(conn transport.Conn, m wire.Msg) {
 }
 
 // checked is the normal path.
-func checked(w io.Writer, m wire.Msg) error {
-	if _, err := wire.WriteFrame(w, m); err != nil {
-		return err
+func checked(dst []byte, m wire.Msg) ([]byte, error) {
+	frame, err := wire.AppendFrame(dst, m)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	return frame, nil
 }
 
 // otherPackagesUnwatched: dropping errors from arbitrary packages is vet's

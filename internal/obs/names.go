@@ -62,7 +62,7 @@ const (
 
 	// Process-wide TCP write-side counters (internal/transport).
 	CTCPBytes   = "tcp.bytes_sent" // frame bytes written to TCP conns
-	CTCPFlushes = "tcp.flushes"    // bufio flushes on TCP conns
+	CTCPFlushes = "tcp.flushes"    // socket write rounds on TCP conns
 
 	// Process-wide readiness-poller metrics (internal/transport/netpoll).
 	// poller.wakeups counts epoll_wait returns, poller.events_per_wait is

@@ -4,35 +4,47 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
-
-// frameBufRetain bounds how much backing array a drained reassembly buffer
-// keeps for the next burst; an oversized frame's buffer is dropped once
-// consumed instead of pinning megabytes on an idle connection (mirrors the
-// wire package's ReadFrameReuse retention cap).
-const frameBufRetain = 64 << 10
 
 // frameBuf reassembles length-prefixed wire frames from arbitrary read
 // chunks. A non-blocking socket delivers whatever the kernel has — half a
 // length prefix, a frame and a half — so the buffer accumulates bytes until
 // a complete frame is decodable and hands back one message at a time,
-// producing exactly the decode sequence wire.ReadFrameReuse would on the
-// same stream (FuzzPartialRead holds us to that).
+// producing exactly the decode sequence wire.ReadFrame would on the same
+// stream (FuzzPartialRead holds us to that).
 //
 // Ownership: the buffer belongs to the connection's read side and is only
 // touched with the read mutex held — space/advance fill it from the socket,
-// next consumes from the front. It is not a ring: consumed bytes are
-// reclaimed by compaction when space runs out, which stays cheap because a
-// drained buffer resets to empty and steady-state frames are far smaller
-// than the buffer.
+// next consumes from the front. It is held only while bytes are: space takes
+// one from the transport Buf pool, and release hands it back once every
+// byte is consumed — next calls it after each frame, the read path after a
+// read that brought nothing — so an idle connection holds no buffer. A
+// partial frame keeps its bytes. It is not a ring: consumed bytes are
+// reclaimed by compaction when space runs out, which stays cheap because
+// steady-state frames are far smaller than a read chunk.
 type frameBuf struct {
-	buf []byte // buf[r:] holds the unconsumed bytes
-	r   int
+	pb *transport.Buf // pb.B[r:] holds the unconsumed bytes; nil when empty
+	r  int
 }
 
 // pending returns how many unconsumed bytes are buffered.
-func (fb *frameBuf) pending() int { return len(fb.buf) - fb.r }
+func (fb *frameBuf) pending() int {
+	if fb.pb == nil {
+		return 0
+	}
+	return len(fb.pb.B) - fb.r
+}
+
+// release hands an empty buffer back to the pool; a no-op while bytes are
+// pending.
+func (fb *frameBuf) release() {
+	if fb.pb != nil && fb.r == len(fb.pb.B) {
+		transport.PutBuf(fb.pb)
+		fb.pb, fb.r = nil, 0
+	}
+}
 
 // next decodes the next complete frame from the buffered bytes. ok=false
 // with a nil error means the buffer ends mid-frame (read more); a non-nil
@@ -40,7 +52,10 @@ func (fb *frameBuf) pending() int { return len(fb.buf) - fb.r }
 // terminal — after a framing error the length prefixes downstream are
 // meaningless.
 func (fb *frameBuf) next() (wire.Msg, bool, error) {
-	b := fb.buf[fb.r:]
+	if fb.pb == nil {
+		return nil, false, nil
+	}
+	b := fb.pb.B[fb.r:]
 	size, n := binary.Uvarint(b)
 	if n == 0 {
 		if len(b) >= binary.MaxVarintLen64 {
@@ -64,34 +79,34 @@ func (fb *frameBuf) next() (wire.Msg, bool, error) {
 		return nil, false, err
 	}
 	fb.r += n + int(size)
-	if fb.r == len(fb.buf) {
-		// Fully drained: rewind, and let go of a burst-sized backing array.
-		fb.buf, fb.r = fb.buf[:0], 0
-		if cap(fb.buf) > frameBufRetain {
-			fb.buf = nil
-		}
-	}
+	fb.release()
 	return m, true, nil
 }
 
 // space returns a writable tail of at least min bytes for the next read,
-// compacting consumed bytes first and growing the backing array only when
-// compaction is not enough. Bytes read into it become visible via advance.
+// taking a buffer from the pool when none is held, compacting consumed bytes
+// first and growing the backing array only when compaction is not enough.
+// Bytes read into it become visible via advance.
 func (fb *frameBuf) space(min int) []byte {
-	if cap(fb.buf)-len(fb.buf) < min {
-		keep := fb.pending()
-		if fb.r > 0 {
-			copy(fb.buf, fb.buf[fb.r:])
-			fb.buf, fb.r = fb.buf[:keep], 0
-		}
-		if cap(fb.buf)-len(fb.buf) < min {
-			grown := make([]byte, keep, cap(fb.buf)*2+min)
-			copy(grown, fb.buf)
-			fb.buf = grown
-		}
+	if fb.pb == nil {
+		fb.pb = transport.GetBuf(min)
 	}
-	return fb.buf[len(fb.buf):cap(fb.buf)]
+	buf := fb.pb.B
+	if cap(buf)-len(buf) < min {
+		keep := len(buf) - fb.r
+		if fb.r > 0 {
+			copy(buf, buf[fb.r:])
+			buf, fb.r = buf[:keep], 0
+		}
+		if cap(buf)-len(buf) < min {
+			grown := make([]byte, keep, cap(buf)*2+min)
+			copy(grown, buf)
+			buf = grown
+		}
+		fb.pb.B = buf
+	}
+	return buf[len(buf):cap(buf)]
 }
 
 // advance accounts n bytes just read into the slice space returned.
-func (fb *frameBuf) advance(n int) { fb.buf = fb.buf[:len(fb.buf)+n] }
+func (fb *frameBuf) advance(n int) { fb.pb.B = fb.pb.B[:len(fb.pb.B)+n] }

@@ -1,7 +1,9 @@
 package netpoll
 
 import (
+	"bufio"
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -165,6 +167,45 @@ func TestFrameBufByteAtATime(t *testing.T) {
 	assertSameMsgs(t, got, msgs)
 }
 
+// TestFrameBufReleasesOnDrain: the reassembly buffer is held only while
+// bytes are. A drain hands it back, a partial frame keeps its bytes until
+// the rest arrives, and a read that brought nothing releases what space took.
+func TestFrameBufReleasesOnDrain(t *testing.T) {
+	msgs := testMsgs(t, 8)
+	stream := encodeStream(t, msgs)
+	held := func(fb *frameBuf) int {
+		if fb.pb == nil {
+			return 0
+		}
+		return cap(fb.pb.B)
+	}
+
+	var fb frameBuf
+	got := feed(t, &fb, stream)
+	assertSameMsgs(t, got, msgs)
+	if c := held(&fb); c != 0 {
+		t.Fatalf("drained buffer keeps %d bytes of capacity", c)
+	}
+
+	cut := len(stream) - 3
+	got = feed(t, &fb, stream[:cut])
+	if fb.pending() == 0 || held(&fb) == 0 {
+		t.Fatalf("partial frame lost: %d bytes pending, capacity %d", fb.pending(), held(&fb))
+	}
+	fb.release() // a no-op while bytes are pending
+	got = append(got, feed(t, &fb, stream[cut:])...)
+	assertSameMsgs(t, got, msgs)
+	if c := held(&fb); c != 0 {
+		t.Fatalf("buffer keeps %d bytes of capacity after the partial frame completed", c)
+	}
+
+	fb.space(DefaultReadChunk) // a read that then hits EAGAIN
+	fb.release()
+	if c := held(&fb); c != 0 {
+		t.Fatalf("empty read keeps %d bytes of capacity", c)
+	}
+}
+
 // TestFrameBufCorrupt checks the two terminal framing errors: an oversized
 // length and an unterminated length prefix. Both must surface as errors, not
 // silent stalls.
@@ -191,7 +232,7 @@ func TestFrameBufCorrupt(t *testing.T) {
 
 // FuzzPartialRead re-chunks a valid frame stream at fuzzer-chosen offsets
 // and asserts the reassembly buffer decodes exactly the sequence
-// wire.ReadFrameReuse produces from the same bytes.
+// wire.ReadFrame produces from the same bytes.
 func FuzzPartialRead(f *testing.F) {
 	f.Add([]byte{1, 3, 7, 100}, uint8(5))
 	f.Add([]byte{0}, uint8(12))
@@ -202,14 +243,15 @@ func FuzzPartialRead(f *testing.F) {
 
 		// Reference decode: the blocking-path reader over the same stream.
 		var want []wire.Msg
-		var scratch []byte
-		r := bytes.NewReader(stream)
-		for r.Len() > 0 {
-			m, buf, err := wire.ReadFrameReuse(r, scratch)
+		r := bufio.NewReader(bytes.NewReader(stream))
+		for {
+			m, err := wire.ReadFrame(r)
+			if err == io.EOF {
+				break
+			}
 			if err != nil {
 				t.Fatalf("reference decode: %v", err)
 			}
-			scratch = buf
 			want = append(want, m)
 		}
 

@@ -32,8 +32,8 @@ var ErrUnavailable = errors.New("netpoll: no readiness poller on this platform")
 // pulls up to this many bytes into the reassembly buffer. Large enough that
 // a keystroke burst drains in one syscall, small enough that 50k idle
 // connections do not pin read buffers (idle connections hold no buffer at
-// all — the reassembly buffer is allocated on first data and released when
-// it drains).
+// all — the reassembly buffer is taken from the transport buffer pool on
+// first data and returned when it drains).
 const DefaultReadChunk = 32 << 10
 
 // Option configures a poller-backed listener or connection.

@@ -504,6 +504,9 @@ func (pc *pollConn) tryRecvLocked() (wire.Msg, bool, error) {
 			pc.fb.advance(n)
 			continue
 		}
+		// The read brought nothing: an empty buffer goes back to the pool
+		// rather than waiting out the idle spell on this connection.
+		pc.fb.release()
 		switch err {
 		case syscall.EINTR:
 			continue
@@ -545,14 +548,8 @@ func (pc *pollConn) Recv() (wire.Msg, error) {
 }
 
 // Send implements transport.Conn (compatibility path; the pooled writers use
-// SendFrame).
-func (pc *pollConn) Send(m wire.Msg) error {
-	frame, err := wire.AppendFrame(nil, m)
-	if err != nil {
-		return err
-	}
-	return pc.SendFrame(frame)
-}
+// SendFrame). The frame is staged in a pooled buffer.
+func (pc *pollConn) Send(m wire.Msg) error { return transport.SendMsg(pc, m) }
 
 // SendFrame implements transport.FrameConn. The blob goes straight to the
 // non-blocking fd; when the socket buffer fills mid-blob the remainder is

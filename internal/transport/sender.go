@@ -20,10 +20,10 @@ import (
 // The writer drains by swapping the entire pending queue out under one
 // lock acquisition, then — on a FrameConn — assembles every drained
 // message into one blob of frames and hands it over in a single
-// SendFrame call: one buffered write, one flush, however deep the queue
-// got. Consecutive encode-once broadcasts in the drain coalesce into
-// TOpBatch frames, so a keystroke burst toward a slow reader amortizes
-// framing and syscalls instead of multiplying them.
+// SendFrame call: one socket write, however deep the queue got.
+// Consecutive encode-once broadcasts in the drain coalesce into TOpBatch
+// frames, so a keystroke burst toward a slow reader amortizes framing and
+// syscalls instead of multiplying them.
 type Sender struct {
 	conn Conn
 	fc   FrameConn // non-nil when conn supports the pre-encoded fast path
@@ -70,12 +70,6 @@ type Sender struct {
 	// SetTracer is race-free against live traffic; a nil tracer costs one
 	// atomic load per push and per drain.
 	tracer atomic.Pointer[span.Tracer]
-
-	// Writer-goroutine scratch, reused across drains so steady-state
-	// sending allocates nothing. In pooled mode the sched bit guarantees a
-	// single servicer, so the scratch is still single-owner.
-	scratch []byte
-	items   []wire.FrameItem
 }
 
 // outItem is one queued message: either an ordinary Msg or one destination
@@ -386,7 +380,11 @@ func (s *Sender) fail(err error) {
 }
 
 // write sends one drained batch: a single coalesced SendFrame on the fast
-// path, message-by-message Sends on the compatibility path.
+// path, message-by-message Sends on the compatibility path. The frame blob
+// and the broadcast-run scratch come from the Buf pool and go back as soon
+// as the bytes are written, so a sender between drains holds neither; run
+// and serviceOnce never overlap two writes on one sender, so the scratch has
+// one owner while it is in use.
 func (s *Sender) write(batch []outItem) error {
 	tr := s.tracer.Load()
 	if tr != nil {
@@ -409,29 +407,35 @@ func (s *Sender) write(batch []outItem) error {
 		}
 		return nil
 	}
-	s.scratch = s.scratch[:0]
+	pb := GetBuf(0)
+	err := s.writeFrames(pb, batch, tr)
+	PutBuf(pb)
+	return err
+}
+
+// writeFrames assembles batch into pb.B and hands the blob to SendFrame.
+func (s *Sender) writeFrames(pb *Buf, batch []outItem, tr *span.Tracer) error {
 	for i := 0; i < len(batch); {
 		if batch[i].bc == nil {
 			var err error
-			if s.scratch, err = wire.AppendFrame(s.scratch, batch[i].m); err != nil {
+			if pb.B, err = wire.AppendFrame(pb.B, batch[i].m); err != nil {
 				return err
 			}
 			i++
 			continue
 		}
-		s.items = s.items[:0]
+		run := pb.items[:0]
 		for ; i < len(batch) && batch[i].bc != nil; i++ {
-			s.items = append(s.items, wire.FrameItem{B: batch[i].bc, To: batch[i].to, TS: batch[i].ts})
+			run = append(run, wire.FrameItem{B: batch[i].bc, To: batch[i].to, TS: batch[i].ts})
 		}
-		s.scratch = wire.AppendFrames(s.scratch, s.items)
-		for j := range s.items {
-			s.items[j] = wire.FrameItem{}
-		}
+		pb.B = wire.AppendFrames(pb.B, run)
+		clear(run)
+		pb.items = run[:0]
 	}
 	if tr != nil {
 		s.traceBatch(tr, batch, span.StageEncode)
 	}
-	if err := s.fc.SendFrame(s.scratch); err != nil {
+	if err := s.fc.SendFrame(pb.B); err != nil {
 		return err
 	}
 	// One drain, one flush round — however many messages it carried.

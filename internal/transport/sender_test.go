@@ -176,7 +176,7 @@ func TestSenderHighWater(t *testing.T) {
 // TestSendFrameTCPRoundTrip: a blob of coalesced frames written through the
 // TCP fast path decodes back into the same sequence of messages.
 func TestSendFrameTCPRoundTrip(t *testing.T) {
-	ln, err := ListenTCP("127.0.0.1:0", WithBufferSize(8<<10))
+	ln, err := ListenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,4 +309,3 @@ func TestSenderBatchesUnderBackpressure(t *testing.T) {
 		t.Fatalf("high water %d, want >= 2 under backpressure", hw)
 	}
 }
-

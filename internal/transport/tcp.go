@@ -20,130 +20,87 @@ var (
 // TCPBytesSent returns the total frame bytes written by all TCP conns.
 func TCPBytesSent() uint64 { return tcpBytesSent.Load() }
 
-// TCPFlushes returns the total bufio flushes performed by all TCP conns.
+// TCPFlushes returns the total write rounds (one per Send or SendFrame)
+// performed by all TCP conns.
 func TCPFlushes() uint64 { return tcpFlushes.Load() }
 
 // AccountTCPWrite adds one write round of n frame bytes to the TCP write
-// counters. The platform poller's connections (netpoll) write through raw
-// fds rather than tcpConn, but they carry the same traffic; accounting it
-// here keeps tcp.bytes_sent / tcp.flushes meaning "frame bytes toward TCP
-// peers" regardless of which write path ran.
+// counters. tcpConn and the platform poller's connections (netpoll, raw
+// fds) both account through it, which keeps tcp.bytes_sent / tcp.flushes
+// meaning "frame bytes toward TCP peers" regardless of which write path
+// ran.
 func AccountTCPWrite(n int) {
 	tcpBytesSent.Add(uint64(n))
 	tcpFlushes.Add(1)
 }
 
-// DefaultBufferSize is the per-direction bufio size of a TCP conn. Large
-// enough that a full drain of a busy outbound queue usually needs one
-// syscall, small enough to be irrelevant against per-connection memory.
+// DefaultBufferSize is the bufio read size of a TCP conn. A frame that fits
+// in it is decoded straight out of the reader's buffer (wire.ReadFrame), so
+// it is also the largest frame that arrives without a one-off allocation.
+// It is the one transport buffer a conn keeps for its whole life: a
+// goroutine parked in a blocking Read must own the buffer it reads into.
 const DefaultBufferSize = 32 << 10
-
-// TCPOption configures a TCP connection.
-type TCPOption func(*tcpConfig)
-
-type tcpConfig struct{ bufSize int }
-
-// WithBufferSize sets the bufio reader/writer size (default
-// DefaultBufferSize; values below 1 fall back to the default).
-func WithBufferSize(n int) TCPOption {
-	return func(c *tcpConfig) { c.bufSize = n }
-}
 
 // tcpConn frames wire messages over a TCP stream. TCP's in-order delivery
 // provides the FIFO property the clock scheme depends on (§2.2).
 type tcpConn struct {
 	c net.Conn
 	r *bufio.Reader
-	// rbuf is the Recv frame scratch; Recv is single-goroutine by the Conn
-	// contract, so reusing it across frames is race-free.
-	rbuf []byte
 
 	wmu sync.Mutex
-	w   *bufio.Writer
 }
 
 // NewTCPConn wraps an established net.Conn. Nagle's algorithm is disabled
 // explicitly so batching policy lives in one place — the senders' drain
-// coalescing and bufio sizing decide when bytes leave, not the kernel's
-// delayed-ACK timer.
-func NewTCPConn(c net.Conn, opts ...TCPOption) Conn {
-	cfg := tcpConfig{bufSize: DefaultBufferSize}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.bufSize < 1 {
-		cfg.bufSize = DefaultBufferSize
-	}
+// coalescing decides when bytes leave, not the kernel's delayed-ACK timer.
+func NewTCPConn(c net.Conn) Conn {
 	if tc, ok := c.(*net.TCPConn); ok {
 		_ = tc.SetNoDelay(true)
 	}
-	return &tcpConn{
-		c: c,
-		r: bufio.NewReaderSize(c, cfg.bufSize),
-		w: bufio.NewWriterSize(c, cfg.bufSize),
-	}
+	return &tcpConn{c: c, r: bufio.NewReaderSize(c, DefaultBufferSize)}
 }
 
 // DialTCP connects to a notifier at addr.
-func DialTCP(addr string, opts ...TCPOption) (Conn, error) {
+func DialTCP(addr string) (Conn, error) {
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	return NewTCPConn(c, opts...), nil
+	return NewTCPConn(c), nil
 }
 
-// Send implements Conn: encode, write, flush — one message per flush. The
-// coalescing path is SendFrame.
-func (t *tcpConn) Send(m wire.Msg) error {
-	t.wmu.Lock()
-	defer t.wmu.Unlock()
-	n, err := wire.WriteFrame(t.w, m)
-	if err != nil {
-		return err
-	}
-	tcpBytesSent.Add(uint64(n))
-	tcpFlushes.Add(1)
-	return t.w.Flush()
-}
+// Send implements Conn: the frame is staged in a pooled buffer and written
+// like a one-frame SendFrame. The coalescing path is SendFrame.
+func (t *tcpConn) Send(m wire.Msg) error { return SendMsg(t, m) }
 
-// SendFrame implements FrameConn: one buffered write and one flush for the
-// whole blob, however many frames it carries.
+// SendFrame implements FrameConn: the blob already holds complete frames,
+// so it goes to the socket in one Write — no staging copy, no buffer kept.
 func (t *tcpConn) SendFrame(frames []byte) error {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
-	if _, err := t.w.Write(frames); err != nil {
+	if _, err := t.c.Write(frames); err != nil {
 		return err
 	}
-	tcpBytesSent.Add(uint64(len(frames)))
-	tcpFlushes.Add(1)
-	return t.w.Flush()
+	AccountTCPWrite(len(frames))
+	return nil
 }
 
 // Recv implements Conn.
-func (t *tcpConn) Recv() (wire.Msg, error) {
-	m, buf, err := wire.ReadFrameReuse(t.r, t.rbuf)
-	t.rbuf = buf
-	return m, err
-}
+func (t *tcpConn) Recv() (wire.Msg, error) { return wire.ReadFrame(t.r) }
 
 // Close implements Conn.
 func (t *tcpConn) Close() error { return t.c.Close() }
 
-// tcpListener adapts net.Listener, applying its options to accepted conns.
-type tcpListener struct {
-	l    net.Listener
-	opts []TCPOption
-}
+// tcpListener adapts net.Listener.
+type tcpListener struct{ l net.Listener }
 
-// ListenTCP starts a TCP listener on addr (e.g. "127.0.0.1:0"); opts apply
-// to every accepted connection.
-func ListenTCP(addr string, opts ...TCPOption) (Listener, error) {
+// ListenTCP starts a TCP listener on addr (e.g. "127.0.0.1:0").
+func ListenTCP(addr string) (Listener, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	return &tcpListener{l: l, opts: opts}, nil
+	return &tcpListener{l: l}, nil
 }
 
 // Accept implements Listener.
@@ -152,7 +109,7 @@ func (t *tcpListener) Accept() (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewTCPConn(c, t.opts...), nil
+	return NewTCPConn(c), nil
 }
 
 // Close implements Listener.

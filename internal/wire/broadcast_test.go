@@ -3,6 +3,8 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"io"
+	"strings"
 	"testing"
 
 	"repro/internal/causal"
@@ -70,7 +72,7 @@ func TestOpBatchRejectsEmpty(t *testing.T) {
 }
 
 // TestAppendFramesSingleByteIdentical: one broadcast destination produces a
-// frame byte-identical to WriteFrame of the equivalent ServerOp — the old
+// frame byte-identical to AppendFrame of the equivalent ServerOp — the old
 // wire format is preserved exactly.
 func TestAppendFramesSingleByteIdentical(t *testing.T) {
 	so := testServerOp(t, 3)
@@ -81,12 +83,12 @@ func TestAppendFramesSingleByteIdentical(t *testing.T) {
 	defer bc.Release()
 	got := AppendFrames(nil, []FrameItem{{B: bc, To: so.To, TS: so.TS}})
 
-	var want bytes.Buffer
-	if _, err := WriteFrame(&want, so); err != nil {
+	want, err := AppendFrame(nil, so)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("single-item frame differs:\n got %x\nwant %x", got, want.Bytes())
+	if !bytes.Equal(got, want) {
+		t.Fatalf("single-item frame differs:\n got %x\nwant %x", got, want)
 	}
 }
 
@@ -185,34 +187,51 @@ func TestBroadcastCompatServerOp(t *testing.T) {
 	}
 }
 
-// TestReadFrameReuse: the scratch buffer round-trips frames of any size,
-// including ones beyond the retention cap.
-func TestReadFrameReuse(t *testing.T) {
-	big := JoinResp{Site: 1, Text: string(make([]rune, reuseCap))} // > reuseCap bytes encoded
+// TestReadFrameSizes: frames round-trip whether they fit in the reader's
+// buffer (decoded in place) or not (one-off body allocation), and a body cut
+// short reports io.ErrUnexpectedEOF on both paths, as io.ReadFull does.
+func TestReadFrameSizes(t *testing.T) {
+	const bufSize = 4096
+	// A JoinResp body is type, site, text length (2 bytes here), text and
+	// LocalOps: fit's body fills the reader's buffer exactly.
+	fit := JoinResp{Site: 1, Text: strings.Repeat("f", bufSize-5)}
+	if b, _ := Append(nil, fit); len(b) != bufSize {
+		t.Fatalf("fit body is %d bytes, want %d", len(b), bufSize)
+	}
+	big := JoinResp{Site: 1, Text: strings.Repeat("b", 3*bufSize)}
 	small := Leave{Site: 2}
-	var stream bytes.Buffer
-	for _, m := range []Msg{small, big, small} {
-		if _, err := WriteFrame(&stream, m); err != nil {
+	msgs := []Msg{small, fit, small, big, small}
+	var stream []byte
+	for _, m := range msgs {
+		var err error
+		if stream, err = AppendFrame(stream, m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	r := bufio.NewReader(&stream)
-	var buf []byte
-	for i := 0; i < 3; i++ {
-		m, nbuf, err := ReadFrameReuse(r, buf)
+	r := bufio.NewReaderSize(bytes.NewReader(stream), bufSize)
+	for i, want := range msgs {
+		m, err := ReadFrame(r)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		buf = nbuf
-		if i == 1 {
-			if jr, ok := m.(JoinResp); !ok || len(jr.Text) != reuseCap {
-				t.Fatalf("frame 1: got %T", m)
-			}
-		} else if l, ok := m.(Leave); !ok || l.Site != 2 {
-			t.Fatalf("frame %d: got %#v", i, m)
+		a, _ := Append(nil, m)
+		b, _ := Append(nil, want)
+		if !bytes.Equal(a, b) {
+			t.Fatalf("frame %d: got %T of %d bytes, want %T of %d", i, m, len(a), want, len(b))
 		}
 	}
-	if cap(buf) > reuseCap {
-		t.Fatalf("retained scratch of %d bytes, cap is %d", cap(buf), reuseCap)
+	if _, err := ReadFrame(r); err != io.EOF {
+		t.Fatalf("after the last frame: %v, want io.EOF", err)
+	}
+
+	for _, m := range []Msg{fit, big} {
+		frame, err := AppendFrame(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := bufio.NewReaderSize(bytes.NewReader(frame[:len(frame)-1]), bufSize)
+		if _, err := ReadFrame(cut); err != io.ErrUnexpectedEOF {
+			t.Fatalf("%d-byte frame cut short: %v, want io.ErrUnexpectedEOF", len(frame), err)
+		}
 	}
 }

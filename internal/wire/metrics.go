@@ -7,7 +7,7 @@ import (
 )
 
 // Frame-encode accounting, process-wide like serverOpEncodes: every frame
-// laid down by AppendFrame/WriteFrame or the broadcast fast path
+// laid down by AppendFrame or the broadcast fast path
 // (AppendFrames) counts once, under its wire type, together with its full
 // on-the-wire size (length prefix included). Journaling and byte-accounting
 // harnesses use the body codec (Append) directly and deliberately do not

@@ -14,6 +14,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -416,67 +417,36 @@ func AppendFrame(dst []byte, m Msg) ([]byte, error) {
 	return dst, err
 }
 
-// WriteFrame encodes m as a length-prefixed frame onto w.
-func WriteFrame(w io.Writer, m Msg) (int, error) {
-	eb := encodePool.Get().(*encodeBuf)
-	frame, err := AppendFrame(eb.b[:0], m)
-	if err == nil {
-		_, err = w.Write(frame)
-	}
-	n := len(frame)
-	eb.b = frame[:0]
-	encodePool.Put(eb)
-	if err != nil {
-		return 0, err
-	}
-	return n, nil
-}
-
-// frameReader is the stream a frame is read from (e.g. *bufio.Reader).
-type frameReader interface {
-	io.Reader
-	io.ByteReader
-}
-
-// ReadFrame reads one length-prefixed frame from r and decodes it.
-func ReadFrame(r frameReader) (Msg, error) {
-	m, _, err := ReadFrameReuse(r, nil)
-	return m, err
-}
-
-// reuseCap bounds how large a receive scratch buffer is kept across calls;
-// the rare oversized frame gets a one-off allocation instead of pinning
-// megabytes on every connection.
-const reuseCap = 64 << 10
-
-// ReadFrameReuse is ReadFrame with a caller-kept scratch buffer: the frame
-// body is read into buf when it fits, and the (possibly grown) scratch is
-// returned for the next call. Decode copies everything it keeps, so the
-// scratch is free for reuse as soon as the call returns. A connection whose
-// Recv loop is single-goroutine (all of ours) reads frames allocation-free.
-func ReadFrameReuse(r frameReader, buf []byte) (Msg, []byte, error) {
+// ReadFrame reads one length-prefixed frame from r and decodes it. A frame
+// that fits in r's buffer is decoded in place — peeked, decoded, discarded —
+// so reading keeps no scratch of its own; Decode copies everything it keeps
+// (TestDecodeDoesNotAlias). A larger frame, such as a document snapshot,
+// gets a one-off allocation that is garbage once decoded.
+func ReadFrame(r *bufio.Reader) (Msg, error) {
 	size, err := binary.ReadUvarint(r)
 	if err != nil {
-		return nil, buf, err
+		return nil, err
 	}
 	if size > MaxFrame {
-		return nil, buf, fmt.Errorf("wire: %d bytes: %w", size, ErrFrameTooLarge)
+		return nil, fmt.Errorf("wire: %d bytes: %w", size, ErrFrameTooLarge)
 	}
-	var body []byte
-	switch {
-	case size <= uint64(cap(buf)):
-		body = buf[:size]
-	case size <= reuseCap:
-		buf = make([]byte, reuseCap)
-		body = buf[:size]
-	default:
-		body = make([]byte, size)
+	if size > uint64(r.Size()) {
+		body := make([]byte, size)
+		if _, err := io.ReadFull(r, body); err != nil {
+			return nil, err
+		}
+		return Decode(body)
 	}
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, buf, err
+	body, err := r.Peek(int(size))
+	if err != nil {
+		if err == io.EOF && len(body) > 0 {
+			err = io.ErrUnexpectedEOF // what io.ReadFull reports for a cut body
+		}
+		return nil, err
 	}
 	m, err := Decode(body)
-	return m, buf, err
+	_, _ = r.Discard(len(body))
+	return m, err
 }
 
 // --- field codecs ---------------------------------------------------------

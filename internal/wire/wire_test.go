@@ -113,7 +113,7 @@ func TestAckLayout(t *testing.T) {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
+	var stream []byte
 	o, _ := op.NewInsert(0, 0, "x")
 	msgs := []Msg{
 		JoinReq{Site: 1},
@@ -123,11 +123,12 @@ func TestFrameRoundTrip(t *testing.T) {
 		Leave{Site: 1},
 	}
 	for _, m := range msgs {
-		if _, err := WriteFrame(&buf, m); err != nil {
+		var err error
+		if stream, err = AppendFrame(stream, m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	r := bufio.NewReader(&buf)
+	r := bufio.NewReader(bytes.NewReader(stream))
 	for i, want := range msgs {
 		got, err := ReadFrame(r)
 		if err != nil {
