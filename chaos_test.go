@@ -33,22 +33,22 @@ func TestChaosDisconnectsAndRejoins(t *testing.T) {
 // dedicated-goroutine layout under disconnects and races.
 func TestChaosLeanNotifier(t *testing.T) {
 	ln := transport.NewMemListener()
-	sess, svc := serveLeanChaos(t, ln, -1)
+	sess, svc := serveLeanChaos(t, ln)
 	runChaosChurn(t, ln.Dial, sess)
 	waitDispatcherEmpty(t, svc)
 }
 
 // serveLeanChaos serves the chaos document on the goroutine-lean layout —
-// `workers` pooled writers and dispatch workers (-1 = GOMAXPROCS) — and
-// returns the default session the plain-join editors land in.
-func serveLeanChaos(t *testing.T, ln transport.Listener, workers int) (*server.Session, *server.Service) {
+// GOMAXPROCS pooled writers and dispatch workers — and returns the default
+// session the plain-join editors land in.
+func serveLeanChaos(t *testing.T, ln transport.Listener) (*server.Session, *server.Service) {
 	t.Helper()
 	mgr := server.NewManager(server.WithInitialText("chaos base document"))
 	sess, err := mgr.GetOrCreate("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := server.Serve(ln, mgr, server.WithWriterPool(workers), server.WithEventDispatch(workers))
+	svc := server.Serve(ln, mgr, server.WithSharedWorkers(-1))
 	t.Cleanup(func() {
 		svc.Close()
 		mgr.Close()
@@ -147,18 +147,25 @@ func runChaosChurn(t *testing.T, dialConn func() (transport.Conn, error), nt cha
 		}
 	}
 
-	// Quiesce the survivors.
+	// Quiesce: the notifier lists exactly the survivors, and each survivor
+	// and the notifier agree on what crossed their link. The first condition
+	// matters as much as the second. A killed editor's last op may still be
+	// in flight to the notifier when the survivors' counts already agree;
+	// it would then reach the notifier's text after the check but no
+	// survivor. A site's leave follows its last op on its FIFO link, so once
+	// every departed site has left, none of their ops is still on the way.
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		received, sent := nt.Counts()
-		quiet := true
 		mu.Lock()
-		for _, e := range editors {
-			fromServer, local := e.SV()
-			if received[e.Site()] != local || sent[e.Site()] != fromServer {
-				quiet = false
+		quiet := len(received) == len(editors)
+		for site, e := range editors {
+			if !quiet {
 				break
 			}
+			fromServer, local := e.SV()
+			r, joined := received[site]
+			quiet = joined && r == local && sent[site] == fromServer
 		}
 		mu.Unlock()
 		if quiet {
@@ -194,24 +201,10 @@ func runChaosChurn(t *testing.T, dialConn func() (transport.Conn, error), nt cha
 // exercised under kill/replace races. After the churn it asserts exactly-once
 // retire (waitDispatcherEmpty).
 func TestChaosPollerTCP(t *testing.T) {
-	chaosPollerTCP(t, 0) // package defaults: single-instance layout on 1-CPU boxes
-}
-
-// TestChaosPollerTCPSharded reruns the poller churn with the sharded
-// scheduling layout forced on (DESIGN.md §18): 4 epoll shards, 4 writers and
-// dispatch workers over 4-way ready rings, and enough idle replicas attached
-// that every broadcast reaches transport.DefaultFanoutThreshold destinations
-// and fans out in parallel. Kill/replace races must survive work stealing and
-// chunked fan-out with the same exactly-once retire guarantee.
-func TestChaosPollerTCPSharded(t *testing.T) {
-	chaosPollerTCP(t, 4)
-}
-
-func chaosPollerTCP(t *testing.T, shards int) {
 	if !netpoll.Available() {
 		t.Skip("epoll poller not available on this platform")
 	}
-	p, err := netpoll.NewPoller(netpoll.WithPollerShards(shards))
+	p, err := netpoll.NewPoller()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,48 +214,9 @@ func chaosPollerTCP(t *testing.T, shards int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	workers := -1
-	if shards > 0 {
-		workers = shards // one ready-ring shard per worker
-	}
-	sess, svc := serveLeanChaos(t, ln, workers)
-	if shards > 0 && p.Shards() != shards {
-		t.Fatalf("poller built %d shards, want %d", p.Shards(), shards)
-	}
+	sess, svc := serveLeanChaos(t, ln)
 	addr := ln.Addr()
-	dial := func() (transport.Conn, error) { return transport.DialTCP(addr) }
-	var idle []*Editor
-	if shards > 0 {
-		for i := 0; i < transport.DefaultFanoutThreshold; i++ {
-			conn, err := dial()
-			if err != nil {
-				t.Fatal(err)
-			}
-			e, err := Connect(conn, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
-			idle = append(idle, e)
-		}
-	}
-	fanouts := transport.FanoutParallel()
-	runChaosChurn(t, dial, sess)
-	if shards > 0 && transport.FanoutParallel() == fanouts {
-		t.Fatal("no broadcast took the parallel fan-out path")
-	}
-	// The idle replicas saw every edit only through the parallel fan-out.
-	want := sess.Text()
-	deadline := time.Now().Add(15 * time.Second)
-	for i, e := range idle {
-		for e.Text() != want {
-			if err := e.Err(); err != nil || time.Now().After(deadline) {
-				t.Fatalf("idle replica %d did not converge (err=%v)", i, err)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-		_ = e.Close()
-	}
+	runChaosChurn(t, func() (transport.Conn, error) { return transport.DialTCP(addr) }, sess)
 	waitDispatcherEmpty(t, svc)
 }
 
@@ -322,7 +276,7 @@ func TestChaosDehydrateMidBurst(t *testing.T) {
 		server.WithObservability(reg),
 		server.WithIdleDehydrate(2*time.Millisecond),
 	)
-	svc := server.Serve(ln, mgr, server.WithWriterPool(-1), server.WithEventDispatch(-1))
+	svc := server.Serve(ln, mgr, server.WithSharedWorkers(-1))
 	defer mgr.Close()
 	defer svc.Close()
 

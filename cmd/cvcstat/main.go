@@ -102,16 +102,11 @@ func render(w io.Writer, s obs.Snapshot) {
 	fmt.Fprintln(w, t.String())
 
 	renderStages(w, s)
-	renderShards(w, s)
 
 	// Process-wide counters: wire and transport traffic, queue pressure.
-	// The per-shard wakeup counters render in their own shard table above.
 	var p stats.Table
 	p.Header("counter", "value")
 	for _, k := range sortedKeys(s.Counters) {
-		if strings.HasPrefix(k, "poller.shard.wakeups.") {
-			continue
-		}
 		p.Row(k, s.Counters[k])
 	}
 	for _, k := range sortedKeys(s.Gauges) {
@@ -120,6 +115,12 @@ func render(w io.Writer, s obs.Snapshot) {
 	if qh, ok := s.Hists[obs.HQueueDepth]; ok {
 		p.Row("conn.queue.depth p50", qh.Quantile(0.5))
 		p.Row("conn.queue.depth max", qh.Max)
+	}
+	// How far the shared workers fall behind: the ready ring's depth at
+	// every push (only present with pooled writers or dispatched reads).
+	if rh, ok := s.Hists[obs.HDispatchRingDepth]; ok && rh.Count > 0 {
+		p.Row("dispatch.ring.depth p50", rh.Quantile(0.5))
+		p.Row("dispatch.ring.depth max", rh.Max)
 	}
 	// How many connections each epoll_wait services: the poller's
 	// amortization factor (only present on poller-capable platforms).
@@ -160,46 +161,6 @@ func renderStages(w io.Writer, s obs.Snapshot) {
 		row(st.Name(), span.StageHistName(st))
 	}
 	row("total", span.HistTotal)
-	fmt.Fprintln(w, t.String())
-}
-
-// renderShards prints the sharded-scheduling view (DESIGN.md §18): one row
-// per epoll shard with its wakeup count, and the ready-ring shard-depth
-// distribution with the cross-shard steal and parallel fan-out totals.
-// Servers without a poller register no shard counters and the section is
-// omitted entirely.
-func renderShards(w io.Writer, s obs.Snapshot) {
-	shardNames := []string{
-		obs.CPollerShard0Wakeups, obs.CPollerShard1Wakeups,
-		obs.CPollerShard2Wakeups, obs.CPollerShard3Wakeups,
-	}
-	present := false
-	for _, n := range shardNames {
-		if _, ok := s.Counters[n]; ok {
-			present = true
-			break
-		}
-	}
-	if !present {
-		return
-	}
-	var t stats.Table
-	t.Header("shard", "wakeups")
-	for i, n := range shardNames {
-		if v, ok := s.Counters[n]; ok {
-			t.Row(i, v)
-		}
-	}
-	if dh, ok := s.Hists[obs.HDispatchShardDepth]; ok && dh.Count > 0 {
-		t.Row("depth p50", dh.Quantile(0.5))
-		t.Row("depth max", dh.Max)
-	}
-	if v, ok := s.Counters[obs.CDispatchSteals]; ok {
-		t.Row("steals", v)
-	}
-	if v, ok := s.Counters[obs.CFanoutParallel]; ok {
-		t.Row("fanouts", v)
-	}
 	fmt.Fprintln(w, t.String())
 }
 

@@ -3,7 +3,6 @@ package main
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -267,53 +266,29 @@ func TestRenderStageTable(t *testing.T) {
 	}
 }
 
-// TestRenderShardTable checks the sharded-scheduling section: with the
-// per-shard wakeup counters in the snapshot, the shard table renders one row
-// per registered shard plus the ready-ring depth distribution and the steal
-// and fan-out totals — and the wakeup counters do NOT repeat in the generic
-// process-wide counter table. A snapshot without shard counters (a server on
-// a non-poller platform) renders no shard section.
-func TestRenderShardTable(t *testing.T) {
-	snap := obs.Snapshot{
-		Name: "reducesrv",
-		Counters: map[string]int64{
-			obs.CPollerShard0Wakeups: 40,
-			obs.CPollerShard1Wakeups: 30,
-			obs.CPollerShard2Wakeups: 20,
-			obs.CPollerShard3Wakeups: 10,
-			obs.CDispatchSteals:      7,
-			obs.CFanoutParallel:      5,
-			"sender.msgs":            99,
-		},
+// TestRenderRingDepth checks the ready ring's depth rows: with the
+// dispatch.ring.depth histogram in the snapshot the process table shows its
+// p50 and max, and a snapshot without it (dedicated readers and writers)
+// renders neither row.
+func TestRenderRingDepth(t *testing.T) {
+	reg := obs.NewRegistry("reducesrv")
+	h := reg.Histogram(obs.HDispatchRingDepth)
+	for _, d := range []int{1, 1, 2, 9} {
+		h.RecordInt(d)
 	}
 	var out strings.Builder
-	render(&out, snap)
+	render(&out, reg.Snapshot())
 	text := out.String()
-	for _, want := range []string{"shard", "wakeups", "steals", "fanouts"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("shard table missing %q:\n%s", want, text)
+	for _, row := range []string{"dispatch.ring.depth p50", "dispatch.ring.depth max"} {
+		if tableLine(text, row) == "" {
+			t.Errorf("process table missing %q:\n%s", row, text)
 		}
-	}
-	for i, count := range []string{"40", "30", "20", "10"} {
-		// Keyed by the shard column: the header's wall-clock time can
-		// contain any of the counts.
-		line := rowOf(text, fmt.Sprint(i))
-		if !strings.Contains(line, count) {
-			t.Errorf("shard %d wakeup row missing or misaligned: %q\n%s", i, line, text)
-		}
-	}
-	if strings.Contains(text, "poller.shard.wakeups.0") {
-		t.Errorf("per-shard counters duplicated in the generic counter table:\n%s", text)
-	}
-	// The steal/fan-out totals still appear in the generic table by name.
-	if tableLine(text, obs.CDispatchSteals) == "" {
-		t.Errorf("generic counter table lost %s:\n%s", obs.CDispatchSteals, text)
 	}
 
 	var bare strings.Builder
 	render(&bare, obs.Snapshot{Name: "reducesrv", Counters: map[string]int64{"sender.msgs": 1}})
-	if strings.Contains(bare.String(), "wakeups") {
-		t.Errorf("shard section rendered without shard counters:\n%s", bare.String())
+	if strings.Contains(bare.String(), "dispatch.ring.depth") {
+		t.Errorf("ring depth rendered without the histogram:\n%s", bare.String())
 	}
 }
 
@@ -321,16 +296,6 @@ func TestRenderShardTable(t *testing.T) {
 func tableLine(text, key string) string {
 	for _, line := range strings.Split(text, "\n") {
 		if strings.Contains(line, key) {
-			return line
-		}
-	}
-	return ""
-}
-
-// rowOf returns the first line whose first column is key.
-func rowOf(text, key string) string {
-	for _, line := range strings.Split(text, "\n") {
-		if f := strings.Fields(line); len(f) > 0 && f[0] == key {
 			return line
 		}
 	}

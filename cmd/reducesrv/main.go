@@ -59,7 +59,6 @@ func run(ctx context.Context, args []string, logger *log.Logger) error {
 	traceOn := fs.Bool("trace", false, "start with causality-decision tracing enabled (needs -debug; toggle later via POST /tracez?enable=)")
 	writerPool := fs.Int("writer-pool", 0, "drain outbound queues and dispatch event-capable reads with this many shared goroutines each (-1 = GOMAXPROCS, 0 = dedicated goroutines per connection)")
 	idleDehydrate := fs.Duration("idle-dehydrate", 0, "park sessions idle for this long into compact checkpoints (0 disables)")
-	poller := fs.String("poller", "auto", "TCP readiness poller: auto (use it when the platform has one), on (require it), off (dedicated readers)")
 	spanSample := fs.Int("span-sample", 0, "trace every Nth operation's lifecycle (stage latencies at /spanz; 0 disables; needs -debug)")
 	sloP99 := fs.Duration("slo-p99", 0, "SLO flight recorder: dump a diagnostic bundle when the windowed p99 of receive.ns or span.total.ns exceeds this (0 disables; needs -debug)")
 	sloDir := fs.String("slo-dir", "slo-bundles", "directory receiving flight-recorder bundles")
@@ -68,16 +67,6 @@ func run(ctx context.Context, args []string, logger *log.Logger) error {
 	}
 	if *debug == "" && (*traceOn || *spanSample > 0 || *sloP99 > 0) {
 		return errors.New("-trace, -span-sample and -slo-p99 need -debug")
-	}
-	// "auto" is the capability probe; "on" refuses to run degraded.
-	switch *poller {
-	case "auto", "off":
-	case "on":
-		if !transport.PollerCapable() {
-			return errors.New("-poller=on but this platform has no readiness poller")
-		}
-	default:
-		return fmt.Errorf("-poller=%q (want auto, on, or off)", *poller)
 	}
 
 	initial := *text
@@ -140,29 +129,23 @@ func run(ctx context.Context, args []string, logger *log.Logger) error {
 		}
 	}
 
-	// The poller knob decides which listener feeds the server: poller-backed
-	// connections are EventConns (zero dedicated reader goroutines once a
-	// dispatcher runs, i.e. with -writer-pool), dedicated-reader ones are
-	// not.
-	var ln transport.Listener
-	var err error
-	if *poller == "off" {
-		ln, err = transport.ListenTCP(*listen)
-	} else {
-		ln, err = transport.ListenEventTCP(*listen)
-	}
+	// The listener uses the platform's readiness poller where there is one:
+	// its connections are EventConns (zero dedicated reader goroutines once
+	// a dispatcher runs, i.e. with -writer-pool). Elsewhere each connection
+	// gets a dedicated reader.
+	ln, err := transport.ListenEventTCP(*listen)
 	if err != nil {
 		_ = mgr.Close()
 		return fmt.Errorf("listen: %w", err)
 	}
-	if transport.PollerCapable() && *poller != "off" {
+	if transport.PollerCapable() {
 		logger.Printf("reducesrv: TCP readiness poller active (reads are epoll-driven)")
 	}
 	var sopts []server.ServeOption
 	if *writerPool != 0 {
 		// The lean connection layer: pooled writers and, on event-capable
 		// transports (the poller's connections), dispatched readers.
-		sopts = append(sopts, server.WithWriterPool(*writerPool), server.WithEventDispatch(*writerPool))
+		sopts = append(sopts, server.WithSharedWorkers(*writerPool))
 	}
 	svc := server.Serve(ln, mgr, sopts...)
 	logger.Printf("reducesrv: notifier listening on %s (%d bytes of initial text per new session)",

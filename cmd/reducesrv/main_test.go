@@ -130,7 +130,6 @@ func TestDaemon(t *testing.T) {
 	}{
 		{"default", true, []string{"-debug", "127.0.0.1:0", "-trace", "-status", "5ms"}},
 		{"lean", false, []string{"-writer-pool", "-1", "-idle-dehydrate", "50ms"}},
-		{"poller-off", false, []string{"-poller", "off"}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			flags := append([]string{"-listen", "127.0.0.1:0", "-text", "seed.",
@@ -197,7 +196,6 @@ func TestBadFlags(t *testing.T) {
 	}{
 		{[]string{"-trace"}, "need -debug"},
 		{[]string{"-span-sample", "8"}, "need -debug"},
-		{[]string{"-poller=bogus"}, "want auto, on, or off"},
 		{[]string{"-no-such-flag"}, "not defined"},
 	} {
 		err := run(context.Background(), c.args, log.New(&lockedBuffer{}, "", 0))

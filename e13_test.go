@@ -77,7 +77,7 @@ func TestE13GoroutineLean(t *testing.T) {
 	)
 	ln := transport.NewMemListener()
 	mgr := server.NewManager(server.WithIdleDehydrate(20 * time.Millisecond))
-	svc := server.Serve(ln, mgr, server.WithWriterPool(-1), server.WithEventDispatch(-1))
+	svc := server.Serve(ln, mgr, server.WithSharedWorkers(-1))
 	defer mgr.Close()
 	defer svc.Close()
 
@@ -165,7 +165,7 @@ func TestE13PollerTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr := server.NewManager(server.WithIdleDehydrate(20 * time.Millisecond))
-	svc := server.Serve(ln, mgr, server.WithWriterPool(-1), server.WithEventDispatch(-1))
+	svc := server.Serve(ln, mgr, server.WithSharedWorkers(-1))
 	defer mgr.Close()
 	defer svc.Close()
 	addr := ln.Addr()
@@ -194,8 +194,8 @@ func TestE13PollerTCP(t *testing.T) {
 	assertHotSessionConverges(t, dial)
 }
 
-// TestPollerFallback forces the -poller=off path: a plain dedicated-reader
-// TCP listener under the same lean server options. The E13 gate assertions
+// TestPollerFallback forces the platform-without-poller path: a plain
+// dedicated-reader TCP listener under the same lean server options. The E13 gate assertions
 // re-run with the fallback's own goroutine budget — exactly one reader per
 // connection, since plain tcpConns are not EventConns — and live traffic
 // must converge identically. This is the path every non-Linux platform runs,
@@ -210,7 +210,7 @@ func TestPollerFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr := server.NewManager(server.WithIdleDehydrate(20 * time.Millisecond))
-	svc := server.Serve(ln, mgr, server.WithWriterPool(-1), server.WithEventDispatch(-1))
+	svc := server.Serve(ln, mgr, server.WithSharedWorkers(-1))
 	defer mgr.Close()
 	defer svc.Close()
 	addr := ln.Addr()
@@ -303,7 +303,7 @@ func runE13IdleBench(b *testing.B, conns int, ln transport.Listener, dial func()
 	sessions := (conns + perSession - 1) / perSession
 
 	mgr := server.NewManager(server.WithIdleDehydrate(10 * time.Millisecond))
-	svc := server.Serve(ln, mgr, server.WithWriterPool(-1), server.WithEventDispatch(-1))
+	svc := server.Serve(ln, mgr, server.WithSharedWorkers(-1))
 	defer mgr.Close()
 	defer svc.Close()
 

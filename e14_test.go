@@ -27,31 +27,14 @@ import (
 
 // e14Session is one traced loopback-TCP session behind the session server.
 type e14Session struct {
-	reg    *obs.Registry
-	tr     *span.Tracer
-	mgr    *server.Manager
-	svc    *server.Service
-	ln     transport.Listener
-	pl     *netpoll.Poller // private poller (epoll path only)
-	eds    []*Editor
-	poll   bool // server listener is the epoll path, so poll_wake fires
-	shards int  // scheduling shard count (0 = package defaults)
-}
-
-// e14Shards reads the E14_SHARDS knob: the worker/shard count for the
-// poller, the ready rings, and the writer pool. Unset (0) keeps every
-// package default; 1 pins the single-ring/single-instance reference layout;
-// check.sh gates the stage breakdown at both 1 and 4.
-func e14Shards(tb testing.TB) int {
-	v := os.Getenv("E14_SHARDS")
-	if v == "" {
-		return 0
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 {
-		tb.Fatalf("bad E14_SHARDS=%q", v)
-	}
-	return n
+	reg  *obs.Registry
+	tr   *span.Tracer
+	mgr  *server.Manager
+	svc  *server.Service
+	ln   transport.Listener
+	pl   *netpoll.Poller // private poller (epoll path only)
+	eds  []*Editor
+	poll bool // server listener is the epoll path, so poll_wake fires
 }
 
 // startE14 brings up the lean session server on a loopback TCP listener
@@ -63,11 +46,11 @@ func e14Shards(tb testing.TB) int {
 // (whose forced-poll quantization is exactly what E14 measures).
 func startE14(tb testing.TB, sites int) *e14Session {
 	tb.Helper()
-	s := &e14Session{reg: obs.NewRegistry("e14"), shards: e14Shards(tb)}
+	s := &e14Session{reg: obs.NewRegistry("e14")}
 	s.tr = span.NewTracer(s.reg, span.Config{SampleEvery: 1})
 
 	if netpoll.Available() {
-		pl, err := netpoll.NewPoller(netpoll.WithPollerShards(s.shards))
+		pl, err := netpoll.NewPoller()
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -83,15 +66,8 @@ func startE14(tb testing.TB, sites int) *e14Session {
 			tb.Fatal(err)
 		}
 	}
-	workers := -1
-	if s.shards > 0 {
-		workers = s.shards
-	}
 	s.mgr = server.NewManager(server.WithSpanTracer(s.tr))
-	// One ready-ring shard per worker is the rings' default, so the worker
-	// count is also the shard count.
-	s.svc = server.Serve(s.ln, s.mgr,
-		server.WithWriterPool(workers), server.WithEventDispatch(workers))
+	s.svc = server.Serve(s.ln, s.mgr, server.WithSharedWorkers(-1))
 
 	s.eds = make([]*Editor, sites)
 	for i := range s.eds {
@@ -273,8 +249,6 @@ func BenchmarkE14StageBreakdown(b *testing.B) {
 	s := startE14(b, sites)
 	ed := s.eds[0]
 
-	stealsBase := transport.DispatchSteals()
-	fanoutBase := transport.FanoutParallel()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := ed.Insert(ed.Len(), "x"); err != nil {
@@ -301,8 +275,4 @@ func BenchmarkE14StageBreakdown(b *testing.B) {
 		b.ReportMetric(float64(h.Quantile(0.5)), "total_p50_ns")
 		b.ReportMetric(float64(h.Quantile(0.99)), "total_p99_ns")
 	}
-	// Sharded-scheduling activity: cross-shard ready-ring steals and
-	// parallel fan-outs per op (both 0 in the shards=1 reference layout).
-	b.ReportMetric(float64(transport.DispatchSteals()-stealsBase)/float64(b.N), "steals_per_op")
-	b.ReportMetric(float64(transport.FanoutParallel()-fanoutBase)/float64(b.N), "fanout_per_op")
 }

@@ -76,24 +76,10 @@ const (
 	CPollerRearm         = "poller.rearm"
 	CConnPartialReads    = "conn.partial_reads"
 
-	// Sharded-scheduling metrics (internal/transport, DESIGN.md §18).
-	// dispatch.steals counts ready-ring pops a worker took from a sibling
-	// shard (Dispatcher and WriterPool combined); dispatch.shard.depth is
-	// the histogram of per-shard queue depth observed at every push;
-	// fanout.parallel counts broadcasts scattered across pool workers
-	// instead of enqueued serially.
-	CDispatchSteals     = "dispatch.steals"
-	CFanoutParallel     = "fanout.parallel"
-	HDispatchShardDepth = "dispatch.shard.depth"
-
-	// Per-shard epoll wakeup counters (internal/transport/netpoll). Fixed
-	// names for shard indexes 0..3 — the default shard count is capped at 4,
-	// and fixing the set keeps the metrics catalogue box-independent; shards
-	// beyond 15 fold into the last slot of the backing array.
-	CPollerShard0Wakeups = "poller.shard.wakeups.0"
-	CPollerShard1Wakeups = "poller.shard.wakeups.1"
-	CPollerShard2Wakeups = "poller.shard.wakeups.2"
-	CPollerShard3Wakeups = "poller.shard.wakeups.3"
+	// HDispatchRingDepth is the histogram of the ready ring's queue depth
+	// observed at every push (internal/transport: Dispatcher and WriterPool
+	// combined, DESIGN.md §18).
+	HDispatchRingDepth = "dispatch.ring.depth"
 
 	// Process-wide wire encode counters (internal/wire). Per-type frame and
 	// byte counters are named wire.frames.<type> / wire.bytes.<type> with

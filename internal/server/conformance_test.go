@@ -24,7 +24,7 @@ type readerKind struct {
 }
 
 func readerKinds() []readerKind {
-	lean := []server.ServeOption{server.WithWriterPool(-1), server.WithEventDispatch(-1)}
+	lean := []server.ServeOption{server.WithSharedWorkers(-1)}
 	tcp := func(listen func(string) (transport.Listener, error)) func(t *testing.T) (transport.Listener, func() (transport.Conn, error)) {
 		return func(t *testing.T) (transport.Listener, func() (transport.Conn, error)) {
 			ln, err := listen("127.0.0.1:0")

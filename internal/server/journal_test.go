@@ -72,7 +72,7 @@ func TestCrashRestartFromJournals(t *testing.T) {
 		ln := transport.NewMemListener()
 		reg := obs.NewRegistry("life")
 		mgr := journaledManager(dir, server.WithIdleDehydrate(2*time.Millisecond), server.WithObservability(reg))
-		svc := server.Serve(ln, mgr, server.WithWriterPool(-1), server.WithEventDispatch(-1))
+		svc := server.Serve(ln, mgr, server.WithSharedWorkers(-1))
 		return life{mgr, svc, ln.Dial, reg}
 	}
 	connect := func(l life, name string, site int) *repro.Editor {

@@ -72,9 +72,6 @@ func TestMetricsCatalog(t *testing.T) {
 		obs.CWireEncodes, obs.CWireOps,
 		obs.CSessionRehydrations,
 		obs.CPollerWakeups, obs.CPollerRearm, obs.CConnPartialReads,
-		obs.CDispatchSteals, obs.CFanoutParallel,
-		obs.CPollerShard0Wakeups, obs.CPollerShard1Wakeups,
-		obs.CPollerShard2Wakeups, obs.CPollerShard3Wakeups,
 	}
 	for ty := wire.TClientOp; ty <= wire.TAck; ty++ {
 		wantRoot = append(wantRoot,
@@ -88,7 +85,7 @@ func TestMetricsCatalog(t *testing.T) {
 		obs.GSessionsResident, obs.GSessionsDehydrated,
 	})
 	assertNames(t, "root histograms", snap.Hists, []string{
-		obs.HQueueDepth, obs.HPollerEventsPerWait, obs.HDispatchShardDepth,
+		obs.HQueueDepth, obs.HPollerEventsPerWait, obs.HDispatchRingDepth,
 	})
 
 	if snap.Gauges[obs.GSessionsResident] != 1 || snap.Gauges[obs.GSessionsDehydrated] != 0 {

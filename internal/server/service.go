@@ -22,11 +22,11 @@ import (
 // wire.SessionJoinReq naming a document; afterwards the per-connection
 // protocol is the same for every session.
 //
-// By default every connection costs two goroutines (reader + writer). The
-// goroutine-lean options change that: WithWriterPool drains all outbound
-// queues with a fixed worker pool, and WithEventDispatch parks inbound sides
-// of event-capable transports (the in-memory one) on a shared dispatcher —
-// an idle connection then costs zero goroutines (DESIGN.md §15).
+// By default every connection costs two goroutines (reader + writer).
+// WithSharedWorkers changes that: a fixed worker pool drains all outbound
+// queues, and a shared dispatcher parks the inbound sides of event-capable
+// transports (the in-memory one, the poller's TCP) — an idle connection then
+// costs zero goroutines (DESIGN.md §15).
 type Service struct {
 	ln  transport.Listener
 	mgr *Manager
@@ -36,7 +36,7 @@ type Service struct {
 	pool *transport.WriterPool
 	// disp, when non-nil, drains event-capable inbound sides with shared
 	// workers instead of one reader goroutine per connection. Connections
-	// whose transport cannot signal readability (TCP) keep a dedicated
+	// whose transport cannot signal readability (plain TCP) keep a dedicated
 	// reader either way.
 	disp *transport.Dispatcher
 
@@ -55,26 +55,20 @@ type Service struct {
 type ServeOption func(*serveConfig)
 
 type serveConfig struct {
-	writerPool    int
-	eventDispatch int
+	sharedWorkers int
 }
 
-// WithWriterPool drains all connections' outbound queues with a fixed pool
-// of n writer goroutines (GOMAXPROCS when n < 0) instead of one dedicated
-// writer per connection. n == 0 keeps dedicated writers (the default, and
-// the reference semantics the pooled mode is differentially tested against).
-func WithWriterPool(n int) ServeOption {
-	return func(c *serveConfig) { c.writerPool = n }
-}
-
-// WithEventDispatch parks the inbound side of event-capable connections
-// (transport.EventConn — the in-memory transport) on a shared dispatcher of
-// n workers (GOMAXPROCS when n < 0) instead of a reader goroutine per
-// connection. n == 0 keeps dedicated readers (the default). TCP connections
-// are unaffected: without a platform poller their readiness is only
-// observable from a blocked Read.
-func WithEventDispatch(n int) ServeOption {
-	return func(c *serveConfig) { c.eventDispatch = n }
+// WithSharedWorkers is the goroutine-lean connection layout: every
+// connection's outbound queue is drained by a pool of n writer goroutines,
+// and the inbound side of every event-capable connection (transport.EventConn
+// — the in-memory transport and the poller's TCP) is stepped by a dispatcher
+// of n more (GOMAXPROCS when n < 0). n == 0 keeps one dedicated reader and
+// writer per connection (the default, and the reference semantics the lean
+// layout is differentially tested against). Plain TCP connections keep a
+// dedicated reader either way: without a platform poller their readiness is
+// only observable from a blocked Read.
+func WithSharedWorkers(n int) ServeOption {
+	return func(c *serveConfig) { c.sharedWorkers = n }
 }
 
 // Serve starts accepting connections for mgr's sessions on ln and returns
@@ -86,11 +80,9 @@ func Serve(ln transport.Listener, mgr *Manager, opts ...ServeOption) *Service {
 		o(&cfg)
 	}
 	s := &Service{ln: ln, mgr: mgr, conns: make(map[transport.Conn]*transport.Sender)}
-	if cfg.writerPool != 0 {
-		s.pool = transport.NewWriterPool(cfg.writerPool)
-	}
-	if cfg.eventDispatch != 0 {
-		s.disp = transport.NewDispatcher(cfg.eventDispatch, 0)
+	if cfg.sharedWorkers != 0 {
+		s.pool = transport.NewWriterPool(cfg.sharedWorkers)
+		s.disp = transport.NewDispatcher(cfg.sharedWorkers, 0)
 	}
 	if reg := mgr.Registry(); reg != nil {
 		// Live connection-queue metrics for /metricz. One gauge per manager:
@@ -125,7 +117,7 @@ func (s *Service) QueueHighWater() int {
 func (s *Service) Addr() string { return s.ln.Addr() }
 
 // Dispatched returns how many connections are parked on the event dispatcher
-// (0 without WithEventDispatch). Tests use it to assert that churn retires
+// (0 without WithSharedWorkers). Tests use it to assert that churn retires
 // every dispatched connection exactly once.
 func (s *Service) Dispatched() int {
 	if s.disp == nil {
@@ -376,7 +368,6 @@ func (cs *connState) admit(m wire.Msg) error {
 		DeliverBroadcast: func(bc *wire.Broadcast, to int, ts core.Timestamp) {
 			_ = snd.EnqueueBroadcast(bc, to, ts)
 		},
-		FanoutSender: snd,
 		Presence: func(o core.PresenceOut) {
 			_ = snd.Enqueue(wire.ServerPresence{
 				To: o.To, From: o.From, Anchor: o.Anchor, Head: o.Head, Active: o.Active,

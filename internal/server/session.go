@@ -21,7 +21,6 @@ import (
 	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
-	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -48,13 +47,6 @@ type Subscriber struct {
 	// Release it after the bytes are written. Network transports set this;
 	// in-process consumers keep the simpler Deliver.
 	DeliverBroadcast func(bc *wire.Broadcast, to int, ts core.Timestamp)
-	// FanoutSender, when non-nil alongside DeliverBroadcast, lets the
-	// session batch this destination into a parallel fan-out across the
-	// writer pool's shards (transport.FanoutScratch, DESIGN.md §18)
-	// instead of invoking DeliverBroadcast serially. The enqueue semantics
-	// are identical — one retained reference per destination, consumed by
-	// EnqueueBroadcast — only the goroutine doing the enqueue may differ.
-	FanoutSender *transport.Sender
 	// Presence, when non-nil, receives relayed presence reports.
 	Presence func(core.PresenceOut)
 	// Admitted, when non-nil, is called with the join snapshot after the
@@ -163,12 +155,6 @@ type Session struct {
 	// spans, when non-nil, stamps the actor-owned stages (dequeue,
 	// broadcast enqueue) of sampled operations.
 	spans *span.Tracer
-
-	// fanout is the actor-owned scratch that scatters broadcast enqueues
-	// across the writer pool's shards when destinations opt in via
-	// FanoutSender and there are at least transport.DefaultFanoutThreshold
-	// of them.
-	fanout transport.FanoutScratch
 
 	// Engine state below is owned by the session goroutine exclusively
 	// (srv is nil while parked; subs, jw survive parking untouched).
@@ -611,22 +597,13 @@ func (s *Session) Receive(m core.ClientMsg) error {
 					}
 					bc.Trace = bm.Trace
 				}
-				if dst.FanoutSender != nil {
-					// Batched: the scratch Retains per destination itself
-					// when it scatters (or walks) the list below.
-					s.fanout.Add(dst.FanoutSender, bm.To, bm.TS)
-					continue
-				}
 				bc.Retain()
 				dst.DeliverBroadcast(bc, bm.To, bm.TS)
 			case dst.Deliver != nil:
 				dst.Deliver(bm)
 			}
 		}
-		if s.fanout.Len() > 0 {
-			s.fanout.Broadcast(bc, transport.DefaultFanoutThreshold) // consumes bc
-			s.fanout.Reset()
-		} else if bc != nil {
+		if bc != nil {
 			bc.Release()
 		}
 		s.spans.Stamp(m.Trace, span.StageBcastEnqueue)

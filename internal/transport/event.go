@@ -2,7 +2,6 @@ package transport
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/wire"
 )
@@ -34,18 +33,14 @@ type EventConn interface {
 // the reader half of the goroutine-lean connection layer (WriterPool is the
 // writer half). An idle connection costs one dispatchConn record and zero
 // goroutines; when a message is delivered the conn's readable callback
-// places it on its sticky shard of the ready ring (workRing, DESIGN.md
-// §18), a worker pops it — its home worker usually, an idle sibling via
-// stealing under imbalance — and steps the connection's per-message handler
-// until the inbound queue is empty or a fairness burst is used up. The
-// sched bit guarantees at most one worker drains a given conn at a time,
-// preserving the Conn contract that Recv (here TryRecv) has a single
-// caller, and therefore per-connection FIFO handling — independent of which
-// shard or worker the turn lands on.
+// places it on the ready ring (workRing), a worker pops it and steps the
+// connection's per-message handler until the inbound queue is empty or a
+// fairness burst is used up. The sched bit guarantees at most one worker
+// drains a given conn at a time, preserving the Conn contract that Recv
+// (here TryRecv) has a single caller, and therefore per-connection FIFO
+// handling — independent of which worker the turn lands on.
 type Dispatcher struct {
 	ring *workRing[*dispatchConn]
-	// assign hands out sticky shards round-robin as conns register.
-	assign atomic.Uint32
 
 	mu     sync.Mutex // guards conns + closed (registration table only)
 	closed bool
@@ -61,7 +56,6 @@ type dispatchConn struct {
 	ec     EventConn
 	handle func(wire.Msg) bool // false = connection is finished
 	finish func()              // invoked exactly once when the conn retires
-	shard  int                 // sticky ready-ring shard
 
 	mu      sync.Mutex
 	sched   bool // on the ready ring or being drained by a worker
@@ -69,37 +63,28 @@ type dispatchConn struct {
 	dead    bool
 }
 
-// service lets a dispatchConn ride the workRing directly in tests; workers
-// normally call drain via their pop loop.
-func (dc *dispatchConn) service() { dc.drain() }
-
 // NewDispatcher starts workers dispatch goroutines (GOMAXPROCS when
 // workers <= 0). burst caps the messages drained from one connection per
-// worker turn before it rotates to the back of its shard (default 32 when
-// <= 0). The ready ring defaults to one shard per worker; WithShards
-// overrides (1 = the single-ring §15 layout).
-func NewDispatcher(workers, burst int, opts ...RingOption) *Dispatcher {
+// worker turn before it rotates to the back of the ring (default 32 when
+// <= 0).
+func NewDispatcher(workers, burst int) *Dispatcher {
 	if burst <= 0 {
 		burst = 32
 	}
 	if workers <= 0 {
 		workers = defaultWorkers()
 	}
-	cfg := buildRingConfig(opts)
 	d := &Dispatcher{
 		burst: burst,
 		conns: make(map[*dispatchConn]struct{}),
-		ring:  newWorkRing[*dispatchConn](cfg.shards, workers),
+		ring:  newWorkRing[*dispatchConn](),
 	}
 	d.wg.Add(workers)
 	for i := 0; i < workers; i++ {
-		go d.worker(i % d.ring.size())
+		go d.worker()
 	}
 	return d
 }
-
-// Shards returns the ready-ring shard count.
-func (d *Dispatcher) Shards() int { return d.ring.size() }
 
 // Add registers ec: handle is stepped once per inbound message on a worker
 // goroutine (never concurrently for the same conn, in delivery order);
@@ -110,7 +95,6 @@ func (d *Dispatcher) Shards() int { return d.ring.size() }
 // back to a dedicated reader or close the conn).
 func (d *Dispatcher) Add(ec EventConn, handle func(wire.Msg) bool, finish func()) bool {
 	dc := &dispatchConn{d: d, ec: ec, handle: handle, finish: finish}
-	dc.shard = int(d.assign.Add(1)-1) % d.ring.size()
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
@@ -126,8 +110,8 @@ func (d *Dispatcher) Add(ec EventConn, handle func(wire.Msg) bool, finish func()
 
 // notify is the readable callback: mark pending and schedule the conn if no
 // worker has it. Runs on the delivering goroutine (a pool writer, a session
-// actor, a poller shard, or a closer) and must stay non-blocking: shard push
-// + targeted signal.
+// actor, the poller, or a closer) and must stay non-blocking: ring push +
+// signal.
 func (dc *dispatchConn) notify() {
 	dc.mu.Lock()
 	if dc.dead {
@@ -143,22 +127,22 @@ func (dc *dispatchConn) notify() {
 	}
 }
 
-// ready places dc at the back of its sticky shard. On a closed dispatcher
+// ready places dc at the back of the ready ring. On a closed dispatcher
 // the conn is retired instead — its finish hook still runs, so teardown
 // never strands a session registration.
 func (d *Dispatcher) ready(dc *dispatchConn) {
-	depth, ok := d.ring.push(dc.shard, dc)
+	depth, ok := d.ring.push(dc)
 	if !ok {
 		dc.retire()
 		return
 	}
-	recordShardDepth(depth)
+	recordRingDepth(depth)
 }
 
-func (d *Dispatcher) worker(home int) {
+func (d *Dispatcher) worker() {
 	defer d.wg.Done()
 	for {
-		dc, ok := d.ring.next(home)
+		dc, ok := d.ring.next()
 		if !ok {
 			return // closed and drained
 		}
@@ -191,7 +175,7 @@ func (dc *dispatchConn) drain() {
 			dc.mu.Lock()
 			if dc.pending {
 				// A delivery raced the empty read: keep sched and take
-				// another turn from the back of the shard.
+				// another turn from the back of the ring.
 				dc.mu.Unlock()
 				dc.d.ready(dc)
 				return
@@ -237,9 +221,7 @@ func (d *Dispatcher) Len() int {
 	return len(d.conns)
 }
 
-// QueueLen returns the number of scheduled conns waiting across all ring
-// shards (aggregated, not per-shard — Len and QueueLen must stay meaningful
-// whatever the shard count).
+// QueueLen returns the number of scheduled conns waiting on the ready ring.
 func (d *Dispatcher) QueueLen() int { return d.ring.queued() }
 
 // Close stops the workers and retires every registered connection (running

@@ -16,17 +16,11 @@ var (
 	senderFlushes atomic.Uint64
 )
 
-// Sharded-scheduling counters (DESIGN.md §18). ringSteals counts ready-ring
-// pops taken from a sibling shard (Dispatcher + WriterPool combined);
-// fanoutParallel counts broadcasts scattered across pool workers instead of
-// enqueued serially. shardDepthHist, when set, observes every shard's queue
-// depth at push time — an atomic pointer so registration is race-free
-// against live traffic and the unregistered path costs one load.
-var (
-	ringSteals     atomic.Uint64
-	fanoutParallel atomic.Uint64
-	shardDepthHist atomic.Pointer[obs.Histogram]
-)
+// ringDepthHist, when set, observes the ready ring's queue depth at every
+// push (Dispatcher and WriterPool combined) — an atomic pointer so
+// registration is race-free against live traffic and the unregistered path
+// costs one load.
+var ringDepthHist atomic.Pointer[obs.Histogram]
 
 // SenderMsgs returns the process-wide count of messages written by Senders.
 func SenderMsgs() uint64 { return senderMsgs.Load() }
@@ -34,31 +28,21 @@ func SenderMsgs() uint64 { return senderMsgs.Load() }
 // SenderFlushes returns the process-wide count of Sender write rounds.
 func SenderFlushes() uint64 { return senderFlushes.Load() }
 
-// DispatchSteals returns the process-wide count of cross-shard ready-ring
-// steals.
-func DispatchSteals() uint64 { return ringSteals.Load() }
-
-// FanoutParallel returns the process-wide count of parallel broadcast
-// fan-outs.
-func FanoutParallel() uint64 { return fanoutParallel.Load() }
-
-// recordShardDepth samples a shard's post-push queue depth into the
+// recordRingDepth samples the ring's post-push queue depth into the
 // registered histogram, if any.
-func recordShardDepth(n int) {
-	if h := shardDepthHist.Load(); h != nil {
+func recordRingDepth(n int) {
+	if h := ringDepthHist.Load(); h != nil {
 		h.RecordInt(n)
 	}
 }
 
 // RegisterMetrics exposes the package's process-wide counters on r:
-// sender.msgs, sender.flushes, tcp.bytes_sent, tcp.flushes, dispatch.steals,
-// fanout.parallel, and the dispatch.shard.depth histogram.
+// sender.msgs, sender.flushes, tcp.bytes_sent, tcp.flushes, and the
+// dispatch.ring.depth histogram.
 func RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc(obs.CSenderMsgs, func() int64 { return int64(SenderMsgs()) })
 	r.CounterFunc(obs.CSenderFlushes, func() int64 { return int64(SenderFlushes()) })
 	r.CounterFunc(obs.CTCPBytes, func() int64 { return int64(TCPBytesSent()) })
 	r.CounterFunc(obs.CTCPFlushes, func() int64 { return int64(TCPFlushes()) })
-	r.CounterFunc(obs.CDispatchSteals, func() int64 { return int64(DispatchSteals()) })
-	r.CounterFunc(obs.CFanoutParallel, func() int64 { return int64(FanoutParallel()) })
-	shardDepthHist.Store(r.Histogram(obs.HDispatchShardDepth))
+	ringDepthHist.Store(r.Histogram(obs.HDispatchRingDepth))
 }

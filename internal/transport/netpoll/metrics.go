@@ -24,31 +24,7 @@ var (
 	// eventsHist, once RegisterMetrics runs, records the batch size of each
 	// epoll_wait return.
 	eventsHist atomic.Pointer[obs.Histogram]
-	// wakeupsByShard splits wakeups by epoll shard index (DESIGN.md §18);
-	// shards past the array fold into the last slot. The catalogue exposes
-	// slots 0..3 (the default shard cap).
-	wakeupsByShard [16]atomic.Uint64
 )
-
-// shardWakeup counts one event-carrying epoll_wait return on shard idx.
-func shardWakeup(idx int) {
-	if idx >= len(wakeupsByShard) {
-		idx = len(wakeupsByShard) - 1
-	}
-	wakeupsByShard[idx].Add(1)
-}
-
-// ShardWakeups returns the wakeup count of epoll shard idx (0 for invalid
-// indexes; indexes past the backing array read its folded last slot).
-func ShardWakeups(idx int) uint64 {
-	if idx < 0 {
-		return 0
-	}
-	if idx >= len(wakeupsByShard) {
-		idx = len(wakeupsByShard) - 1
-	}
-	return wakeupsByShard[idx].Load()
-}
 
 // Wakeups returns the process-wide count of epoll_wait returns.
 func Wakeups() uint64 { return wakeups.Load() }

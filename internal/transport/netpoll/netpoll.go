@@ -43,7 +43,6 @@ type config struct {
 	readChunk int
 	sockBuf   int
 	poller    *Poller
-	shards    int
 }
 
 // WithReadChunk sets how many bytes each non-blocking read may pull into the
@@ -66,16 +65,6 @@ func WithPoller(p *Poller) Option {
 	return func(c *config) { c.poller = p }
 }
 
-// WithPollerShards sets how many epoll instances a NewPoller call creates,
-// each with its own event loop; connections are assigned round-robin at
-// registration (DESIGN.md §18). n <= 0 keeps the default
-// (min(GOMAXPROCS, 4) on Linux); 1 is the single-instance §16 layout. Only
-// NewPoller reads this option — listeners and dials inherit their poller's
-// shard count.
-func WithPollerShards(n int) Option {
-	return func(c *config) { c.shards = n }
-}
-
 func buildConfig(opts []Option) config {
 	cfg := config{readChunk: DefaultReadChunk}
 	for _, o := range opts {
@@ -88,18 +77,12 @@ func buildConfig(opts []Option) config {
 }
 
 // RegisterMetrics exposes the package's process-wide poller counters on r:
-// poller.wakeups, poller.rearm, conn.partial_reads, the per-shard
-// poller.shard.wakeups.0..3 counters (a fixed set so the catalogue does not
-// depend on the box; shard indexes past 3 fold into the array's tail — see
-// ShardWakeups), and the poller.events_per_wait histogram (recorded by every
-// poller in the process from registration on).
+// poller.wakeups, poller.rearm, conn.partial_reads, and the
+// poller.events_per_wait histogram (recorded by every poller in the process
+// from registration on).
 func RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc(obs.CPollerWakeups, func() int64 { return int64(Wakeups()) })
 	r.CounterFunc(obs.CPollerRearm, func() int64 { return int64(Rearms()) })
 	r.CounterFunc(obs.CConnPartialReads, func() int64 { return int64(PartialReads()) })
-	r.CounterFunc(obs.CPollerShard0Wakeups, func() int64 { return int64(ShardWakeups(0)) })
-	r.CounterFunc(obs.CPollerShard1Wakeups, func() int64 { return int64(ShardWakeups(1)) })
-	r.CounterFunc(obs.CPollerShard2Wakeups, func() int64 { return int64(ShardWakeups(2)) })
-	r.CounterFunc(obs.CPollerShard3Wakeups, func() int64 { return int64(ShardWakeups(3)) })
 	eventsHist.Store(r.Histogram(obs.HPollerEventsPerWait))
 }

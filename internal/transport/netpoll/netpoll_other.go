@@ -12,19 +12,13 @@ func Available() bool { return false }
 type Poller struct{}
 
 // NewPoller returns ErrUnavailable on platforms without a poller.
-func NewPoller(opts ...Option) (*Poller, error) { return nil, ErrUnavailable }
+func NewPoller() (*Poller, error) { return nil, ErrUnavailable }
 
 // Default returns ErrUnavailable on platforms without a poller.
 func Default() (*Poller, error) { return nil, ErrUnavailable }
 
 // Close implements the Poller API as a no-op.
 func (p *Poller) Close() error { return nil }
-
-// Shards implements the Poller API; a stub poller has no epoll instances.
-func (p *Poller) Shards() int { return 0 }
-
-// DefaultPollerShards returns 0 on platforms without a poller.
-func DefaultPollerShards() int { return 0 }
 
 // ListenTCP returns ErrUnavailable; callers fall back to
 // transport.ListenTCP (transport.ListenEventTCP does this automatically).

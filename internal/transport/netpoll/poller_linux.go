@@ -31,43 +31,28 @@ const (
 )
 
 // spinRounds is how many zero-timeout re-polls (each followed by a Gosched)
-// a shard loop runs after a wakeup that carried events before parking back
+// the event loop runs after a wakeup that carried events before parking back
 // into the runtime netpoller. Parking is cheap but waking is not: on a
 // saturated GOMAXPROCS=1 box the runtime skips netpoll while its run queue
 // is non-empty, and only sysmon forces one every ~10ms — so a parked poller
 // under load sees readiness at sysmon latency, quantizing every TCP hop at
-// ~10ms (the poll_wake tail E14 measured). A recently-busy shard therefore
+// ~10ms (the poll_wake tail E14 measured). A recently-busy loop therefore
 // stays runnable for a bounded number of scheduler round-trips, discovering
-// new events at run-queue latency; a genuinely idle shard exhausts the
+// new events at run-queue latency; a genuinely idle loop exhausts the
 // budget and parks, costing zero CPU.
 const spinRounds = 64
 
 // Available reports whether this platform has a readiness poller.
 func Available() bool { return true }
 
-// Poller owns N epoll instances ("shards"), each drained by its own
-// goroutine. Registered connections cost no goroutines: their read-side
-// edges are forwarded to the readable callback (feeding a
-// transport.Dispatcher's ready ring) and their write-side edges to the
-// pending-flush path. Everything is raw syscall — no cgo, no dependencies —
-// and edge-triggered, so the kernel notifies once per readiness transition
-// and the wait set stays O(1) per event regardless of how many tens of
-// thousands of idle connections are registered.
-//
-// Sharding (DESIGN.md §18) bounds the batch a single hot edge can queue
-// behind: with one instance, 128 simultaneously-readable connections are
-// serviced by one goroutine in one pass; with N instances, connections are
-// assigned round-robin at registration and N loops forward their shares
-// independently.
+// Poller owns one epoll instance drained by one goroutine. Registered
+// connections cost no goroutines: their read-side edges are forwarded to the
+// readable callback (feeding a transport.Dispatcher's ready ring) and their
+// write-side edges to the pending-flush path. Everything is raw syscall — no
+// cgo, no dependencies — and edge-triggered, so the kernel notifies once per
+// readiness transition and the wait set stays O(1) per event regardless of
+// how many tens of thousands of idle connections are registered.
 type Poller struct {
-	shards []*pollShard
-	// next hands out shard assignments round-robin as conns register.
-	next atomic.Uint32
-}
-
-// pollShard is one epoll instance and the goroutine that drains it.
-type pollShard struct {
-	idx  int
 	epfd int
 	// epf wraps epfd so the loop can park in the runtime netpoller instead
 	// of blocking an OS thread inside epoll_wait. A raw blocking wait holds
@@ -88,88 +73,47 @@ type pollShard struct {
 	done chan struct{}
 }
 
-// DefaultPollerShards is the default epoll shard count:
-// min(GOMAXPROCS, 4). More shards than CPUs cannot run concurrently, and
-// beyond 4 the per-shard goroutine overhead outgrows the batching win.
-func DefaultPollerShards() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 4 {
-		n = 4
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// NewPoller creates a poller with its own epoll shard set and event loops
-// (shard count from WithPollerShards, default DefaultPollerShards). Most
-// callers want the shared Default instead; tests create private pollers so
-// Close tears the loops down deterministically.
-func NewPoller(opts ...Option) (*Poller, error) {
-	cfg := buildConfig(opts)
-	shards := cfg.shards
-	if shards <= 0 {
-		shards = DefaultPollerShards()
-	}
-	p := &Poller{shards: make([]*pollShard, 0, shards)}
-	for i := 0; i < shards; i++ {
-		sh, err := newPollShard(i)
-		if err != nil {
-			_ = p.Close()
-			return nil, err
-		}
-		p.shards = append(p.shards, sh)
-	}
-	return p, nil
-}
-
-// Shards returns the number of epoll instances this poller runs.
-func (p *Poller) Shards() int { return len(p.shards) }
-
-// pick assigns the next connection's shard (round-robin).
-func (p *Poller) pick() *pollShard {
-	return p.shards[int(p.next.Add(1)-1)%len(p.shards)]
-}
-
-func newPollShard(idx int) (*pollShard, error) {
+// NewPoller creates a poller with its own epoll instance and event loop.
+// Most callers want the shared Default instead; tests create private
+// pollers so Close tears the loop down deterministically.
+func NewPoller() (*Poller, error) {
 	epfd, err := syscall.EpollCreate1(syscall.EPOLL_CLOEXEC)
 	if err != nil {
 		return nil, os.NewSyscallError("epoll_create1", err)
 	}
-	sh := &pollShard{idx: idx, epfd: epfd, conns: make(map[int32]*pollConn), done: make(chan struct{})}
-	if err := syscall.Pipe2(sh.wake[:], syscall.O_NONBLOCK|syscall.O_CLOEXEC); err != nil {
+	p := &Poller{epfd: epfd, conns: make(map[int32]*pollConn), done: make(chan struct{})}
+	if err := syscall.Pipe2(p.wake[:], syscall.O_NONBLOCK|syscall.O_CLOEXEC); err != nil {
 		_ = syscall.Close(epfd)
 		return nil, os.NewSyscallError("pipe2", err)
 	}
 	// The wake pipe stays level-triggered: it only ever carries the close
 	// signal and must not be lost to an edge raced by a spurious wakeup.
-	ev := syscall.EpollEvent{Events: uint32(syscall.EPOLLIN), Fd: int32(sh.wake[0])}
-	if err := syscall.EpollCtl(epfd, syscall.EPOLL_CTL_ADD, sh.wake[0], &ev); err != nil {
+	ev := syscall.EpollEvent{Events: uint32(syscall.EPOLLIN), Fd: int32(p.wake[0])}
+	if err := syscall.EpollCtl(epfd, syscall.EPOLL_CTL_ADD, p.wake[0], &ev); err != nil {
 		_ = syscall.Close(epfd)
-		_ = syscall.Close(sh.wake[0])
-		_ = syscall.Close(sh.wake[1])
+		_ = syscall.Close(p.wake[0])
+		_ = syscall.Close(p.wake[1])
 		return nil, os.NewSyscallError("epoll_ctl", err)
 	}
 	// Nonblocking BEFORE os.NewFile: that is what makes the runtime register
 	// the fd with its own netpoller (see newFile's pollable check).
 	if err := syscall.SetNonblock(epfd, true); err != nil {
 		_ = syscall.Close(epfd)
-		_ = syscall.Close(sh.wake[0])
-		_ = syscall.Close(sh.wake[1])
+		_ = syscall.Close(p.wake[0])
+		_ = syscall.Close(p.wake[1])
 		return nil, os.NewSyscallError("setnonblock", err)
 	}
-	sh.epf = os.NewFile(uintptr(epfd), "epoll")
-	rc, err := sh.epf.SyscallConn()
+	p.epf = os.NewFile(uintptr(epfd), "epoll")
+	rc, err := p.epf.SyscallConn()
 	if err != nil {
-		_ = sh.epf.Close() // owns epfd now
-		_ = syscall.Close(sh.wake[0])
-		_ = syscall.Close(sh.wake[1])
+		_ = p.epf.Close() // owns epfd now
+		_ = syscall.Close(p.wake[0])
+		_ = syscall.Close(p.wake[1])
 		return nil, err
 	}
-	sh.eprc = rc
-	go sh.loop()
-	return sh, nil
+	p.eprc = rc
+	go p.loop()
+	return p, nil
 }
 
 var (
@@ -179,18 +123,18 @@ var (
 )
 
 // Default returns the process-wide poller, created on first use and never
-// closed — the epoll fds and their goroutines are process-lifetime fixtures,
+// closed — the epoll fd and its goroutine are process-lifetime fixtures,
 // like the runtime's own netpoller.
 func Default() (*Poller, error) {
 	defaultOnce.Do(func() { defaultP, defaultErr = NewPoller() })
 	return defaultP, defaultErr
 }
 
-// loop is one shard's goroutine: wait, then forward each event to its
+// loop is the poller's goroutine: wait, then forward each event to its
 // connection. It holds no locks across callbacks beyond the conn-table
 // lookup, and the event slice is its only allocation, made once.
 //
-// The wait is three-level. While the shard was recently busy it re-polls
+// The wait is three-level. While the loop was recently busy it re-polls
 // with a zero-timeout epoll_wait between Gosched yields (see spinRounds) —
 // readiness then surfaces at run-queue latency even when the runtime
 // netpoller is starved by a saturated run queue. After the spin budget, the
@@ -199,10 +143,10 @@ func Default() (*Poller, error) {
 // same zero-timeout wait. The callback always polls before parking, so a
 // batch larger than the events slice is picked up on the next iteration
 // without needing a fresh readiness edge.
-func (sh *pollShard) loop() {
-	defer close(sh.done)
+func (p *Poller) loop() {
+	defer close(p.done)
 	// The wait closures are built once: they, the event slice, and n are
-	// the loop's only allocations, paid per shard rather than per wakeup.
+	// the loop's only allocations, paid per poller rather than per wakeup.
 	events := make([]syscall.EpollEvent, 128)
 	n := 0
 	poll := func(fd uintptr) bool {
@@ -219,7 +163,7 @@ func (sh *pollShard) loop() {
 			return n > 0 // no events: park until the epoll fd is readable
 		}
 	}
-	epfd := uintptr(sh.epfd)
+	epfd := uintptr(p.epfd)
 	spin := 0
 	for {
 		if spin > 0 {
@@ -231,11 +175,10 @@ func (sh *pollShard) loop() {
 				runtime.Gosched()
 				continue
 			}
-		} else if sh.eprc.Read(poll) != nil || n < 0 {
+		} else if p.eprc.Read(poll) != nil || n < 0 {
 			return
 		}
 		wakeups.Add(1)
-		shardWakeup(sh.idx)
 		if h := eventsHist.Load(); h != nil {
 			h.RecordInt(n)
 		}
@@ -244,8 +187,8 @@ func (sh *pollShard) loop() {
 		// so a stalled writer never adds to arrival latency.
 		for i := 0; i < n; i++ {
 			fd, evs := events[i].Fd, events[i].Events
-			if int(fd) == sh.wake[0] {
-				if sh.drainWake() {
+			if int(fd) == p.wake[0] {
+				if p.drainWake() {
 					return
 				}
 				continue
@@ -253,7 +196,7 @@ func (sh *pollShard) loop() {
 			if evs&(uint32(syscall.EPOLLIN|syscall.EPOLLRDHUP|syscall.EPOLLERR|syscall.EPOLLHUP)) == 0 {
 				continue
 			}
-			if pc := sh.lookup(fd); pc != nil {
+			if pc := p.lookup(fd); pc != nil {
 				pc.onReadable()
 			}
 		}
@@ -261,7 +204,7 @@ func (sh *pollShard) loop() {
 			if events[i].Events&uint32(syscall.EPOLLOUT) == 0 {
 				continue
 			}
-			if pc := sh.lookup(events[i].Fd); pc != nil {
+			if pc := p.lookup(events[i].Fd); pc != nil {
 				pc.flushPending()
 			}
 		}
@@ -271,80 +214,71 @@ func (sh *pollShard) loop() {
 
 // lookup resolves an event's fd to its connection (nil when it was
 // deregistered while the event was in flight).
-func (sh *pollShard) lookup(fd int32) *pollConn {
-	sh.mu.Lock()
-	pc := sh.conns[fd]
-	sh.mu.Unlock()
+func (p *Poller) lookup(fd int32) *pollConn {
+	p.mu.Lock()
+	pc := p.conns[fd]
+	p.mu.Unlock()
 	return pc
 }
 
 // drainWake empties the self-pipe and reports whether Close asked the loop
 // to exit.
-func (sh *pollShard) drainWake() bool {
+func (p *Poller) drainWake() bool {
 	var buf [16]byte
 	for {
-		if n, err := syscall.Read(sh.wake[0], buf[:]); n <= 0 || err != nil {
+		if n, err := syscall.Read(p.wake[0], buf[:]); n <= 0 || err != nil {
 			break
 		}
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.closed
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.closed
 }
 
-// Close stops every shard's event loop and closes every registered
-// connection, which surfaces transport.ErrClosed through their Recv/TryRecv
-// paths and so retires them from any dispatcher. Only test-owned pollers are
-// closed; see Default.
+// Close stops the event loop and closes every registered connection, which
+// surfaces transport.ErrClosed through their Recv/TryRecv paths and so
+// retires them from any dispatcher. Only test-owned pollers are closed; see
+// Default.
 func (p *Poller) Close() error {
-	for _, sh := range p.shards {
-		if sh != nil {
-			sh.close()
-		}
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return nil
 	}
-	return nil
-}
-
-func (sh *pollShard) close() {
-	sh.mu.Lock()
-	if sh.closed {
-		sh.mu.Unlock()
-		return
-	}
-	sh.closed = true
-	sh.mu.Unlock()
+	p.closed = true
+	p.mu.Unlock()
 	one := [1]byte{1}
-	_, _ = syscall.Write(sh.wake[1], one[:])
-	<-sh.done
-	sh.mu.Lock()
-	conns := make([]*pollConn, 0, len(sh.conns))
-	for _, pc := range sh.conns {
+	_, _ = syscall.Write(p.wake[1], one[:])
+	<-p.done
+	p.mu.Lock()
+	conns := make([]*pollConn, 0, len(p.conns))
+	for _, pc := range p.conns {
 		conns = append(conns, pc)
 	}
-	sh.mu.Unlock()
+	p.mu.Unlock()
 	for _, pc := range conns {
 		_ = pc.Close()
 	}
-	_ = sh.epf.Close() // owns epfd
-	_ = syscall.Close(sh.wake[0])
-	_ = syscall.Close(sh.wake[1])
+	_ = p.epf.Close() // owns epfd
+	_ = syscall.Close(p.wake[0])
+	_ = syscall.Close(p.wake[1])
+	return nil
 }
 
-// add registers pc's fd with the shard's epoll instance under the read
-// interest set.
-func (sh *pollShard) add(pc *pollConn) error {
-	sh.mu.Lock()
-	if sh.closed {
-		sh.mu.Unlock()
+// add registers pc's fd with the epoll instance under the read interest set.
+func (p *Poller) add(pc *pollConn) error {
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
 		return transport.ErrClosed
 	}
-	sh.conns[int32(pc.fd)] = pc
-	sh.mu.Unlock()
+	p.conns[int32(pc.fd)] = pc
+	p.mu.Unlock()
 	ev := syscall.EpollEvent{Events: readEvents, Fd: int32(pc.fd)}
-	if err := syscall.EpollCtl(sh.epfd, syscall.EPOLL_CTL_ADD, pc.fd, &ev); err != nil {
-		sh.mu.Lock()
-		delete(sh.conns, int32(pc.fd))
-		sh.mu.Unlock()
+	if err := syscall.EpollCtl(p.epfd, syscall.EPOLL_CTL_ADD, pc.fd, &ev); err != nil {
+		p.mu.Lock()
+		delete(p.conns, int32(pc.fd))
+		p.mu.Unlock()
 		return os.NewSyscallError("epoll_ctl", err)
 	}
 	return nil
@@ -354,20 +288,20 @@ func (sh *pollShard) add(pc *pollConn) error {
 // complete before pc's fd is closed: the kernel reuses fd numbers, and a
 // stale table entry would route a future connection's events to this dead
 // one.
-func (sh *pollShard) deregister(pc *pollConn) {
-	sh.mu.Lock()
-	delete(sh.conns, int32(pc.fd))
-	sh.mu.Unlock()
-	_ = syscall.EpollCtl(sh.epfd, syscall.EPOLL_CTL_DEL, pc.fd, nil)
+func (p *Poller) deregister(pc *pollConn) {
+	p.mu.Lock()
+	delete(p.conns, int32(pc.fd))
+	p.mu.Unlock()
+	_ = syscall.EpollCtl(p.epfd, syscall.EPOLL_CTL_DEL, pc.fd, nil)
 }
 
 // mod swaps pc's interest set (read-only ↔ read+write). With edge
 // triggering, EPOLL_CTL_MOD also re-checks readiness: if the socket is
 // already writable when EPOLLOUT is armed, an event fires immediately, so
 // the arm-after-EAGAIN window loses no edge.
-func (sh *pollShard) mod(pc *pollConn, events uint32) error {
+func (p *Poller) mod(pc *pollConn, events uint32) error {
 	ev := syscall.EpollEvent{Events: events, Fd: int32(pc.fd)}
-	if err := syscall.EpollCtl(sh.epfd, syscall.EPOLL_CTL_MOD, pc.fd, &ev); err != nil {
+	if err := syscall.EpollCtl(p.epfd, syscall.EPOLL_CTL_MOD, pc.fd, &ev); err != nil {
 		return os.NewSyscallError("epoll_ctl", err)
 	}
 	return nil
@@ -376,10 +310,10 @@ func (sh *pollShard) mod(pc *pollConn, events uint32) error {
 // pollConn is a poller-owned TCP connection: transport.EventConn on the read
 // side (non-blocking reads through a frameBuf), transport.FrameConn on the
 // write side (short writes park on wpend and re-arm EPOLLOUT). It holds zero
-// goroutines; the shard goroutine and the caller's dispatcher/writer-pool
+// goroutines; the poller goroutine and the caller's dispatcher/writer-pool
 // workers do all the work.
 type pollConn struct {
-	sh    *pollShard
+	p     *Poller
 	f     *os.File // keeps the dup'd descriptor alive against the finalizer
 	fd    int
 	chunk int
@@ -410,8 +344,7 @@ var (
 )
 
 // newPollConn takes ownership of tc: dup the fd out of the runtime's
-// netpoller, close the original, and register the dup with one of p's
-// shards (round-robin).
+// netpoller, close the original, and register the dup with p.
 func newPollConn(tc *net.TCPConn, p *Poller, cfg config) (*pollConn, error) {
 	_ = tc.SetNoDelay(true)
 	f, err := tc.File() // dup sharing the file description
@@ -431,9 +364,9 @@ func newPollConn(tc *net.TCPConn, p *Poller, cfg config) (*pollConn, error) {
 		_ = syscall.SetsockoptInt(fd, syscall.SOL_SOCKET, syscall.SO_RCVBUF, cfg.sockBuf)
 		_ = syscall.SetsockoptInt(fd, syscall.SOL_SOCKET, syscall.SO_SNDBUF, cfg.sockBuf)
 	}
-	pc := &pollConn{sh: p.pick(), f: f, fd: fd, chunk: cfg.readChunk}
+	pc := &pollConn{p: p, f: f, fd: fd, chunk: cfg.readChunk}
 	pc.rcond = sync.NewCond(&pc.rmu)
-	if err := pc.sh.add(pc); err != nil {
+	if err := p.add(pc); err != nil {
 		_ = f.Close()
 		return nil, err
 	}
@@ -452,7 +385,7 @@ func (pc *pollConn) SetReadable(fn func()) {
 	}
 }
 
-// onReadable runs on the shard goroutine for every read-side edge (data,
+// onReadable runs on the poller goroutine for every read-side edge (data,
 // half-close, error) and on local close. It must not block: wake a parked
 // Recv and push the conn onto the dispatcher's ready ring via the callback.
 func (pc *pollConn) onReadable() {
@@ -599,7 +532,7 @@ func (pc *pollConn) armWrite() error {
 	if pc.warm {
 		return nil
 	}
-	if err := pc.sh.mod(pc, writeEvents); err != nil {
+	if err := pc.p.mod(pc, writeEvents); err != nil {
 		pc.werr = err
 		return err
 	}
@@ -608,7 +541,7 @@ func (pc *pollConn) armWrite() error {
 	return nil
 }
 
-// flushPending runs on the shard goroutine when EPOLLOUT reports the socket
+// flushPending runs on the poller goroutine when EPOLLOUT reports the socket
 // writable again: drain wpend, then drop back to the read-only interest set.
 // An EAGAIN mid-drain simply returns — the interest set still has EPOLLOUT,
 // so the next writability edge resumes.
@@ -636,7 +569,7 @@ func (pc *pollConn) flushPending() {
 		}
 	}
 	pc.wpend = nil // release the drained backing array
-	if err := pc.sh.mod(pc, readEvents); err == nil {
+	if err := pc.p.mod(pc, readEvents); err == nil {
 		pc.warm = false
 	}
 }
@@ -651,7 +584,7 @@ func (pc *pollConn) Close() error {
 	if !pc.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	pc.sh.deregister(pc)
+	pc.p.deregister(pc)
 	pc.rmu.Lock()
 	if pc.rerr == nil {
 		pc.rerr = transport.ErrClosed
@@ -702,7 +635,7 @@ func ListenTCP(addr string, opts ...Option) (transport.Listener, error) {
 
 // DialTCP connects to addr and hands the connection to the poller: the
 // returned conn is a transport.EventConn/FrameConn identical to an accepted
-// one, with its blocking Recv woken by a shard loop instead of the runtime
+// one, with its blocking Recv woken by the poller loop instead of the runtime
 // netpoller. Clients driving many connections from one process (benchmarks,
 // load generators) use it so their reads share the poller's spin-then-park
 // wakeup path rather than each parking in the runtime poller.

@@ -1,16 +1,6 @@
 package transport
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// poolTask is one unit of writer-pool work: a hot Sender taking a service
-// turn, or one shard's chunk of a parallel broadcast fan-out (fanout.go).
-// Both are pushed as pointers, so the interface costs no allocation.
-type poolTask interface {
-	service()
-}
+import "sync"
 
 // WriterPool drains many pooled Senders with a fixed set of worker
 // goroutines. A dedicated-mode Sender pins one goroutine per connection for
@@ -23,39 +13,31 @@ type poolTask interface {
 // the queue header; write cost is unchanged (same coalesced single-SendFrame
 // drain); the goroutine count is O(workers), not O(connections).
 //
-// The ready ring is sharded (workRing, DESIGN.md §18): each sender is
-// assigned a sticky shard at attach time, workers drain their home shard and
-// steal from siblings before parking. Per-sender FIFO is preserved because
-// the scheduled bit guarantees at most one worker services a given sender at
-// a time — stealing only changes WHICH worker takes the turn — and a sender
-// that is still hot after one drained batch goes to the back of its shard:
-// round-robin fairness across hot connections instead of head-of-line
-// capture of a worker. The known cost of sharing: a worker blocked in a slow
-// peer's SendFrame is unavailable to other senders, so a deployment
-// expecting pathologically slow consumers should size the pool above the
-// expected number of simultaneously-stalled peers, or keep dedicated mode.
+// Per-sender FIFO is preserved because the scheduled bit guarantees at most
+// one worker services a given sender at a time, and a sender that is still
+// hot after one drained batch goes to the back of the ring — round-robin
+// fairness across hot connections instead of head-of-line capture of a
+// worker. The known cost of sharing: a worker blocked in a slow peer's
+// SendFrame is unavailable to other senders, so a deployment expecting
+// pathologically slow consumers should size the pool above the expected
+// number of simultaneously-stalled peers, or keep dedicated mode.
 type WriterPool struct {
-	ring *workRing[poolTask]
-	// assign hands out sticky shards round-robin as senders attach.
-	assign atomic.Uint32
+	ring *workRing[*Sender]
 
 	wg      sync.WaitGroup
 	workers int
 }
 
 // NewWriterPool starts a pool of workers writer goroutines (GOMAXPROCS when
-// workers <= 0). Senders attach via NewPooledSender. The ready ring defaults
-// to one shard per worker; WithShards overrides (1 = the single-ring §15
-// layout).
-func NewWriterPool(workers int, opts ...RingOption) *WriterPool {
+// workers <= 0). Senders attach via NewPooledSender.
+func NewWriterPool(workers int) *WriterPool {
 	if workers <= 0 {
 		workers = defaultWorkers()
 	}
-	cfg := buildRingConfig(opts)
-	p := &WriterPool{workers: workers, ring: newWorkRing[poolTask](cfg.shards, workers)}
+	p := &WriterPool{workers: workers, ring: newWorkRing[*Sender]()}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
-		go p.worker(i % p.ring.size())
+		go p.worker()
 	}
 	return p
 }
@@ -63,41 +45,32 @@ func NewWriterPool(workers int, opts ...RingOption) *WriterPool {
 // Workers returns the pool size.
 func (p *WriterPool) Workers() int { return p.workers }
 
-// Shards returns the ready-ring shard count.
-func (p *WriterPool) Shards() int { return p.ring.size() }
-
-// assignShard hands out the next sticky shard (round-robin).
-func (p *WriterPool) assignShard() int {
-	return int(p.assign.Add(1)-1) % p.ring.size()
-}
-
-// QueueLen returns the number of tasks waiting across all ring shards —
-// scheduled senders and fan-out chunks not yet picked up by a worker.
+// QueueLen returns the number of scheduled senders not yet picked up by a
+// worker.
 func (p *WriterPool) QueueLen() int { return p.ring.queued() }
 
-// ready places t at the back of its shard's ready ring. Called by a sender
-// whose queue just became non-empty (push), by one still hot after a drained
-// batch (serviceOnce), and by the parallel fan-out scattering chunks. On a
-// closed pool the task is serviced by a spawned goroutine instead, so Close
-// semantics (drain, then release waiters) survive pool shutdown ordering
-// mistakes.
-func (p *WriterPool) ready(t poolTask, shard int) {
-	depth, ok := p.ring.push(shard, t)
+// ready places s at the back of the ready ring. Called by a sender whose
+// queue just became non-empty (push) or that is still hot after a drained
+// batch (serviceOnce). On a closed pool the sender is serviced by a spawned
+// goroutine instead, so Close semantics (drain, then release waiters)
+// survive pool shutdown ordering mistakes.
+func (p *WriterPool) ready(s *Sender) {
+	depth, ok := p.ring.push(s)
 	if !ok {
-		go t.service()
+		go s.serviceOnce()
 		return
 	}
-	recordShardDepth(depth)
+	recordRingDepth(depth)
 }
 
-func (p *WriterPool) worker(home int) {
+func (p *WriterPool) worker() {
 	defer p.wg.Done()
 	for {
-		t, ok := p.ring.next(home)
+		s, ok := p.ring.next()
 		if !ok {
 			return // closed and drained
 		}
-		t.service()
+		s.serviceOnce()
 	}
 }
 

@@ -14,15 +14,13 @@ func RegisterPoller(listen func(addr string) (Listener, error)) {
 }
 
 // PollerCapable reports whether a platform readiness poller is registered,
-// i.e. whether ListenEventTCP returns event-capable connections. Callers
-// that require the poller (e.g. -poller=on) check this and fail loudly
-// instead of silently running dedicated readers.
+// i.e. whether ListenEventTCP returns event-capable connections.
 func PollerCapable() bool { return pollerListen != nil }
 
 // ListenEventTCP starts a TCP listener whose accepted connections implement
 // EventConn when the platform has a readiness poller, and plain dedicated-
-// reader connections otherwise. This is the "auto" knob servers default to:
-// combined with the accept loop's EventConn type assertion, one code path
+// reader connections otherwise. reducesrv and the benchmark listen through
+// it: combined with the accept loop's EventConn type assertion, one code path
 // serves both worlds and the poller is pure capability, never requirement.
 func ListenEventTCP(addr string) (Listener, error) {
 	if pollerListen == nil {

@@ -37,10 +37,6 @@ type Sender struct {
 	// workers (see WriterPool). nil is dedicated mode — the reference
 	// semantics the differential tests compare pooled mode against.
 	pool *WriterPool
-	// shard is this sender's sticky ready-ring shard, assigned once at
-	// attach time (pooled mode only) so FIFO and fan-out chunking never
-	// depend on where an enqueue happens to run.
-	shard int
 
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -108,7 +104,6 @@ func NewPooledSender(conn Conn, closedErr error, pool *WriterPool) *Sender {
 	}
 	fc, _ := conn.(FrameConn)
 	s := &Sender{conn: conn, fc: fc, closedErr: closedErr, done: make(chan struct{}), pool: pool}
-	s.shard = pool.assignShard()
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
@@ -213,7 +208,7 @@ func (s *Sender) push(it outItem) error {
 	s.sched = true
 	s.mu.Unlock()
 	if wake {
-		s.pool.ready(s, s.shard)
+		s.pool.ready(s)
 	}
 	return nil
 }
@@ -342,11 +337,8 @@ func (s *Sender) serviceOnce() {
 		return
 	}
 	s.mu.Unlock()
-	s.pool.ready(s, s.shard)
+	s.pool.ready(s)
 }
-
-// service is one pool-worker turn on this sender (poolTask).
-func (s *Sender) service() { s.serviceOnce() }
 
 // finishLocked ends a pooled service turn on an empty queue: clears the
 // sched bit and, when the sender is closed and fully drained, closes done
